@@ -182,7 +182,7 @@ def main(argv=None):
     trials = 3
 
     # Interleave trials so allocator/cache drift penalizes both modes
-    # equally (same discipline as bench_recovery_engines).
+    # equally.
     samplers = (("cold_restart", time_cold_restart),
                 ("promotion", time_promotion))
     best = {}

@@ -7,8 +7,8 @@ distance from the last checkpoint, not by the total history.  Reported
 as records processed per pass; the pytest-benchmark timing covers the
 full crash + restart.
 
-Run standalone to sweep the same histories under every recovery engine
-and emit ``BENCH_recovery_scaling.json``::
+Run standalone to sweep longer histories and emit
+``BENCH_recovery_scaling.json``::
 
     PYTHONPATH=src python benchmarks/bench_recovery_scaling.py
 """
@@ -21,16 +21,14 @@ from pathlib import Path
 from repro.config import SystemConfig
 from repro.core.system import ClientServerSystem
 from repro.harness.report import format_table
-from repro.recovery.engines import ENGINE_NAMES
 from repro.workloads.generator import seed_table
 
 
-def run_history(total_txns: int, ckpt_interval: int, engine: str = "serial"):
+def run_history(total_txns: int, ckpt_interval: int):
     config = SystemConfig(
         client_buffer_frames=4,
         client_checkpoint_interval=max(1, ckpt_interval // 4),
         server_checkpoint_interval=ckpt_interval,
-        recovery_engine=engine,
     )
     system = ClientServerSystem(config, client_ids=["C1", "C2"])
     system.bootstrap(data_pages=8, free_pages=8)
@@ -46,7 +44,6 @@ def run_history(total_txns: int, ckpt_interval: int, engine: str = "serial"):
     report = system.restart_all()
     elapsed = time.perf_counter() - start
     return {
-        "engine": engine,
         "txns_in_history": total_txns,
         "server_ckpt_interval": ckpt_interval,
         "log_records_total": system.server.log.stable.record_count(),
@@ -59,12 +56,10 @@ def run_history(total_txns: int, ckpt_interval: int, engine: str = "serial"):
 def main():
     out = Path(__file__).resolve().parent.parent / "BENCH_recovery_scaling.json"
     rows = []
-    for engine in ENGINE_NAMES:
-        for total in (100, 400, 1600):
-            for interval in (0, 50):          # 0 = no server checkpoints
-                rows.append(run_history(total, interval, engine))
-    print(format_table(
-        rows, title="Restart work vs history, checkpoints and engine"))
+    for total in (100, 400, 1600):
+        for interval in (0, 50):          # 0 = no server checkpoints
+            rows.append(run_history(total, interval))
+    print(format_table(rows, title="Restart work vs history and checkpoints"))
     out.write_text(json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
 

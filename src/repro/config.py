@@ -111,8 +111,7 @@ class LsnAssignment(enum.Enum):
 class RpcBackoff:
     """Seeded exponential-backoff-with-cap retry policy for RPC stubs.
 
-    One policy object replaces the three scalar RPC retry knobs: the
-    stub retries a timed-out exchange up to ``max_retries`` times,
+    The stub retries a timed-out exchange up to ``max_retries`` times,
     waiting ``min(base * 2**attempt, cap)`` simulated units plus a
     seeded jitter of up to ``jitter`` times that delay.  The jitter
     stream is seeded from ``SystemConfig.seed`` when the policy is
@@ -212,23 +211,6 @@ class SystemConfig:
     #: outside that experiment.
     unsafe_server_checkpoint_excludes_clients: bool = False
 
-    #: Which recovery engine ``Server.restart`` / ``recover_failed_client``
-    #: run (``repro.recovery.engines``): ``"serial"`` is the paper's
-    #: three-pass scan, byte-identical to the historical inline code;
-    #: ``"partitioned"`` fuses analysis+redo filtering into one header
-    #: scan, prunes per-partition supplementary scans to their minimum
-    #: DPL RecAddr and resolves undo chains by address lookup instead of
-    #: a full backward scan (identical pages, identical log bytes);
-    #: ``"redo_only"`` is the single-pass engine of Sauer & Härder
-    #: (arXiv 1409.3682) — losers are treated as never-redone and only
-    #: their CLR/End stream is emitted, falling back to ``serial``
-    #: whenever its applicability gates fail (prepared transactions,
-    #: externalized loser updates, logical undo).
-    recovery_engine: str = "serial"
-    #: Page-id partitions the partitioned engine splits redo into (its
-    #: deterministic worker units; merge order is partition index).
-    recovery_partitions: int = 4
-
     # -- replication & failover ---------------------------------------
 
     #: Wire a log-shipped warm standby into the complex
@@ -250,8 +232,8 @@ class SystemConfig:
     #: The standby applies shipped redo into its page replica every N
     #: shipped records; between applies the shipped tail is durable in
     #: its log replica but not yet materialized.  Promotion rolls
-    #: forward exactly that tail through the configured recovery
-    #: engine — the smaller this interval, the warmer the standby.
+    #: forward exactly that tail through restart recovery — the
+    #: smaller this interval, the warmer the standby.
     standby_apply_interval: int = 64
     #: Simulated ticks between primary heartbeats observed by the
     #: failure detector.
@@ -277,23 +259,9 @@ class SystemConfig:
     #: FAULTY only: RNG seed for fault injection; ``None`` reuses ``seed``.
     transport_seed: "int | None" = None
 
-    #: Retries a client stub attempts after a timed-out exchange before
-    #: declaring the destination unavailable.  Superseded by
-    #: :attr:`rpc_backoff` when that is set.
-    rpc_max_retries: int = 8
-    #: First retry backoff in simulated units; doubles per attempt.
-    #: Superseded by :attr:`rpc_backoff` when that is set.
-    rpc_backoff_base: float = 1.0
-    #: Simulated units a stub waits before treating an exchange as lost.
-    #: Superseded by :attr:`rpc_backoff` when that is set.
-    rpc_timeout: float = 10.0
-    #: The unified retry policy object (:class:`RpcBackoff`): seeded
-    #: exponential backoff with a cap and optional jitter.  ``None``
-    #: (the default) derives an equivalent policy from the three legacy
-    #: scalar knobs above, with the cap placed where uncapped doubling
-    #: would first exceed it — bit-for-bit the historical backoff
-    #: sequence.
-    rpc_backoff: Optional[RpcBackoff] = None
+    #: The stub retry policy (:class:`RpcBackoff`): seeded exponential
+    #: backoff with a cap and optional jitter.
+    rpc_backoff: RpcBackoff = RpcBackoff()
     #: Coalesce back-to-back RPCs on the same edge into one
     #: :class:`repro.net.rpc.BatchEnvelope` exchange (today: the commit
     #: path's log-ship + force pair).  Every sub-call keeps its own

@@ -23,12 +23,40 @@ needs only the fields ``peek_header`` surfaces, so a full record is
 materialized — via the stable log's decode LRU — only for the records
 a pass actually consumes: checkpoint tables, redone updates, undone
 updates, and whatever an ``observer`` asks to see.
+
+Every replay in the system is one of two kernels over an iterable of
+``(addr, header)`` pairs: :func:`redo_kernel` (apply a record iff
+``page_LSN < LSN``) and :func:`undo_kernel` (compensate a record iff its
+LSN is its loser's expected UndoNxtLSN).  A log scan and a pre-collected
+list are just two sources for the same loop, so :func:`redo_pass` and
+:func:`undo_pass` — the paper's passes, kept as the reference the
+equivalence tests compare against — page repair, media recovery and
+standby apply are all kernel callers.  :func:`recover` is the one
+restart path on top: analysis fused with redo-candidate collection, redo
+over the candidates, undo along the losers' chains resolved through the
+server's per-client ``<LSN, address>`` pairs (section 2.5.2), with the
+scanning :func:`undo_pass` as the recorded fallback.  The driver reaches
+pages only through :class:`RecoveryPageAccess` and emits log records
+only through :class:`ClrWriter` (lint rule REC060 enforces both).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Protocol, Set
+from itertools import chain
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Protocol,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.core.apply import (
     UndoEffect,
@@ -54,6 +82,15 @@ from repro.errors import RecoveryInvariantError
 from repro.faults import FaultPlan
 from repro.storage.page import Page
 
+if TYPE_CHECKING:
+    from repro.obs.tracer import Tracer
+
+#: What the kernels iterate: a record's log address and peeked header.
+HeaderItem = Tuple[LogAddr, FrameHeader]
+#: The redo kernel also takes, from a scan that decodes anyway, the
+#: page-changing record itself in place of its header.
+RedoItem = Tuple[LogAddr, Union[FrameHeader, UpdateRecord, CompensationRecord]]
+
 
 class RecoveryPageAccess(Protocol):
     """How recovery reaches pages (the server supplies the implementation)."""
@@ -73,6 +110,31 @@ class ClrWriter(Protocol):
     def next_lsn(self, page_lsn: LSN) -> LSN: ...
 
     def append(self, record: LogRecord) -> LogAddr: ...
+
+
+class ReplayPages:
+    """RecoveryPageAccess over images the caller holds and installs itself.
+
+    Single-page repair hands in the one image it is rebuilding; standby
+    apply hands in a ``load`` that reads its page replica, memoised here
+    so each page is read once per apply round.  Both own their dirty
+    tracking, so :meth:`mark_dirty` has nothing to do.
+    """
+
+    def __init__(self, pages: Dict[int, Page],
+                 load: Optional[Callable[[int], Page]] = None) -> None:
+        self.pages = pages
+        self._load = load
+
+    def fetch(self, page_id: int) -> Page:
+        page = self.pages.get(page_id)
+        if page is None:
+            assert self._load is not None
+            page = self.pages[page_id] = self._load(page_id)
+        return page
+
+    def mark_dirty(self, page_id: int, rec_addr: LogAddr) -> None:
+        return None
 
 
 #: Logical undo hook: given an index update record, locate the current
@@ -141,9 +203,9 @@ def analysis_pass(
     rebuild its global transaction tracker).  ``faults`` arms the
     per-record crashpoint that lets the explorer kill recovery itself
     mid-scan (restart must be restartable, section 2.5).  ``header_sink``
-    sees every ``(addr, header)`` the scan visits — the hook that lets a
-    fused recovery engine collect redo candidates during analysis
-    instead of paying a second header scan over the same range.
+    sees every ``(addr, header)`` the scan visits — the hook that lets
+    :func:`recover` collect redo candidates during analysis instead of
+    paying a second header scan over the same range.
     ``header_observer`` is the cheap form of ``observer``: it sees every
     ``(header, addr)`` without the full-record decode, which is all the
     transaction tracker needs; when both are given the header form wins.
@@ -257,21 +319,28 @@ class RedoStats:
     applied_by_client: Dict[str, int] = field(default_factory=dict)
 
 
-def redo_pass(
+def redo_kernel(
     log: ServerLogManager,
-    analysis: AnalysisResult,
+    items: Iterable[RedoItem],
     pages: RecoveryPageAccess,
+    dpl: Optional[Dict[int, LogAddr]] = None,
     client_filter: Optional[Set[str]] = None,
     faults: Optional[FaultPlan] = None,
 ) -> RedoStats:
-    """Repeat history: reapply every missing update recorded in the log.
+    """Repeat history over ``items``: the one redo loop in the system.
 
-    A record is considered only if its page is in the DPL with
-    ``RecAddr <= record address`` (the DPL-as-filter rule of section
-    1.1.2) and applied only if ``page_LSN < record LSN``.
+    A record is considered only if it is a page-bearing update or CLR of
+    a client in ``client_filter`` and — when a ``dpl`` is given — its
+    page is listed with ``RecAddr <= record address`` (the DPL-as-filter
+    rule of section 1.1.2); it is applied only if ``page_LSN < record
+    LSN``.  ``items`` must ascend by address: per-page log order is
+    application order.  Without a ``dpl`` every page is a candidate and
+    the page's dirty bound is the first record applied to it.  An item
+    carries the record's peeked header — the record is then read only
+    if it is applied — or the record itself.
     """
     stats = RedoStats()
-    for addr, header in log.scan_headers(analysis.redo_addr, analysis.end_addr):
+    for addr, header in items:
         if faults is not None:
             faults.crashpoint("recovery.redo.scan")
         stats.records_scanned += 1
@@ -282,14 +351,19 @@ def redo_pass(
         page_id = header.page_id
         if page_id < 0:
             continue  # dummy CLRs have no page effect
-        rec_addr = analysis.dpl.get(page_id)
-        if rec_addr is None or addr < rec_addr:
-            continue
+        if dpl is None:
+            rec_addr = addr
+        else:
+            known = dpl.get(page_id)
+            if known is None or addr < known:
+                continue
+            rec_addr = known
         stats.records_considered += 1
         page = pages.fetch(page_id)
         if not redo_needed(page, header.lsn):
             continue
-        record = log.read_at(addr)
+        record = (log.read_at(addr) if isinstance(header, FrameHeader)
+                  else header)
         if isinstance(record, UpdateRecord):
             apply_redo(page, record)
         else:
@@ -301,6 +375,20 @@ def redo_pass(
             stats.applied_by_client.get(header.client_id, 0) + 1
         )
     return stats
+
+
+def redo_pass(
+    log: ServerLogManager,
+    analysis: AnalysisResult,
+    pages: RecoveryPageAccess,
+    client_filter: Optional[Set[str]] = None,
+    faults: Optional[FaultPlan] = None,
+) -> RedoStats:
+    """The paper's redo pass: the kernel over ``[redo_addr, end_addr)``."""
+    return redo_kernel(
+        log, log.scan_headers(analysis.redo_addr, analysis.end_addr), pages,
+        dpl=analysis.dpl, client_filter=client_filter, faults=faults,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -316,20 +404,23 @@ class UndoStats:
     clrs_by_client: Dict[str, int] = field(default_factory=dict)
 
 
-def undo_pass(
+def undo_kernel(
     log: ServerLogManager,
+    items: Iterable[HeaderItem],
     losers: Dict[str, RestartTxn],
     pages: RecoveryPageAccess,
     clr_writer: ClrWriter,
     logical_undo: Optional[LogicalUndoHandler] = None,
     faults: Optional[FaultPlan] = None,
 ) -> UndoStats:
-    """Roll back the losers, writing CLRs in their names.
+    """Roll back the losers over ``items``: the one undo loop in the system.
 
-    Single backward scan of the log; a record is undone when its LSN
-    matches its transaction's expected UndoNxtLSN.  CLRs encountered in
-    the log skip the expectation past work already compensated, which is
-    what bounds logging under repeated failures.
+    ``items`` must descend by address and contain every record on the
+    losers' undo chains; anything else in it (a backward scan visits the
+    whole log) is skipped.  A record is undone when its LSN matches its
+    transaction's expected UndoNxtLSN.  CLRs encountered skip the
+    expectation past work already compensated, which is what bounds
+    logging under repeated failures.
     """
     stats = UndoStats()
     expected: Dict[str, LSN] = {}
@@ -345,7 +436,7 @@ def undo_pass(
     if not expected:
         return stats
 
-    for addr, header in log.scan_headers_backward():
+    for addr, header in items:
         if not expected:
             break
         if faults is not None:
@@ -392,6 +483,23 @@ def undo_pass(
     return stats
 
 
+def undo_pass(
+    log: ServerLogManager,
+    losers: Dict[str, RestartTxn],
+    pages: RecoveryPageAccess,
+    clr_writer: ClrWriter,
+    logical_undo: Optional[LogicalUndoHandler] = None,
+    faults: Optional[FaultPlan] = None,
+) -> UndoStats:
+    """The paper's undo pass: the kernel over one backward log scan.
+
+    LSNs are not log addresses, so this scan needs no ``<LSN, address>``
+    pairs at all — which is why it is :func:`recover`'s fallback.
+    """
+    return undo_kernel(log, log.scan_headers_backward(), losers, pages,
+                       clr_writer, logical_undo, faults)
+
+
 def _undo_one(
     record: UpdateRecord,
     pages: RecoveryPageAccess,
@@ -436,3 +544,336 @@ def _finish_rollback(clr_writer: ClrWriter, txn: RestartTxn,
         outcome=TxnOutcome.ABORTED,
     )
     clr_writer.append(end)
+
+
+# ---------------------------------------------------------------------------
+# The restart driver
+# ---------------------------------------------------------------------------
+
+@dataclass
+class RecoveryContext:
+    """Everything one recovery run needs.
+
+    The server builds one per ``restart`` / ``recover_failed_client``
+    call; hooks carry the between-pass bookkeeping (tracker reinstall
+    after analysis, forwarded-dirty rebuild before redo, the restart
+    loser filter).
+    """
+
+    log: ServerLogManager
+    pages: RecoveryPageAccess
+    clr_writer: ClrWriter
+    #: ``"server-restart"`` or ``"client-recovery"``; picks the
+    #: ``server.restart.*`` / ``server.client_recovery.*`` crashpoints.
+    kind: str
+    #: Where the analysis scan starts (``None`` when a supplier below
+    #: provides the analysis without scanning — the 2.6.2 GLM variant).
+    analysis_scan_start: Optional[LogAddr] = None
+    analysis_supplier: Optional[Callable[[], AnalysisResult]] = None
+    client_filter: Optional[Set[str]] = None
+    rebuild_log_bookkeeping: bool = False
+    #: Sees ``(header, addr)`` per scanned record without the full decode.
+    header_observer: Optional[Callable[[FrameHeader, LogAddr], None]] = None
+    #: Faults armed for the analysis scan specifically (client recovery
+    #: historically scans analysis unarmed; restart arms it).
+    analysis_faults: Optional[FaultPlan] = None
+    logical_undo: Optional[LogicalUndoHandler] = None
+    faults: Optional[FaultPlan] = None
+    tracer: Optional["Tracer"] = None
+    #: The histogram/time-series hub (``repro.obs.hist.MetricsHub``),
+    #: threaded from ``Server.metrics``; ``None`` disables the per-pass
+    #: record histograms and the restart progress meter.
+    metrics: Any = None
+    #: Attributes stamped on every pass span (e.g. ``client=C1``).
+    span_attrs: Dict[str, object] = field(default_factory=dict)
+    #: Extra attributes for the analysis span only (e.g. ``start_addr``).
+    analysis_span_attrs: Dict[str, object] = field(default_factory=dict)
+    after_analysis: Optional[Callable[[AnalysisResult], None]] = None
+    #: Runs between analysis and redo; returns redos applied out of band
+    #: (the forwarded-dirty rebuild of client recovery).
+    pre_redo: Optional[Callable[[], int]] = None
+    loser_filter: Optional[
+        Callable[[Dict[str, RestartTxn]], Dict[str, RestartTxn]]
+    ] = None
+
+
+@dataclass
+class RecoveryResult:
+    """What one :func:`recover` run produced, for the RecoveryReport."""
+
+    analysis: AnalysisResult
+    redo: RedoStats
+    undo: UndoStats
+    #: Why undo ran the scanning :func:`undo_pass` instead of walking
+    #: the chains, if it did.
+    fallback: Optional[str] = None
+
+
+class _ChainLookupMiss(Exception):
+    """An undo chain LSN had no known address; fall back to scanning."""
+
+
+def _fire_before(ctx: RecoveryContext, pass_name: str) -> None:
+    """Arm the per-pass crashpoint with its literal manifest name.
+
+    The CRASHPOINTS manifest is closed-loop against literal call sites,
+    so the names are spelled out per (flavor, pass) rather than built
+    from ``ctx.kind``.
+    """
+    if ctx.faults is None:
+        return
+    restart = ctx.kind == "server-restart"
+    if pass_name == "analysis":
+        if restart:
+            ctx.faults.crashpoint("server.restart.before_analysis",
+                                  ctx.tracer)
+        else:
+            ctx.faults.crashpoint("server.client_recovery.before_analysis",
+                                  ctx.tracer)
+    elif pass_name == "redo":
+        if restart:
+            ctx.faults.crashpoint("server.restart.before_redo", ctx.tracer)
+        else:
+            ctx.faults.crashpoint("server.client_recovery.before_redo",
+                                  ctx.tracer)
+    else:
+        if restart:
+            ctx.faults.crashpoint("server.restart.before_undo", ctx.tracer)
+        else:
+            ctx.faults.crashpoint("server.client_recovery.before_undo",
+                                  ctx.tracer)
+
+
+#: Restart progress sampling interval, in scanned records.  Coarse
+#: enough to stay cheap, fine enough that the time series resolves the
+#: shape of a long scan; the final total is always sampled too.
+_PROGRESS_SAMPLE_EVERY = 64
+
+
+def _progress_observer(
+    ctx: RecoveryContext,
+    inner: Optional[Callable[[FrameHeader, LogAddr], None]],
+) -> Callable[[FrameHeader, LogAddr], None]:
+    """Wrap the analysis header observer with the restart progress meter.
+
+    Samples ``restart_progress`` (records scanned so far, on the hub's
+    logical clock) every :data:`_PROGRESS_SAMPLE_EVERY` records; the
+    scan's log extent is stamped into the series meta so consumers can
+    express progress as scanned/extent.  Purely additive: the wrapped
+    observer (the transaction tracker during restart) sees exactly the
+    calls it would have.
+    """
+    metrics = ctx.metrics
+    series = metrics.restart_progress
+    start = ctx.analysis_scan_start or 0
+    series.meta["log_extent"] = max(
+        0, ctx.log.stable.end_of_log_addr - start)
+    scanned = 0
+
+    def observer(header: FrameHeader, addr: LogAddr) -> None:
+        nonlocal scanned
+        scanned += 1
+        if scanned % _PROGRESS_SAMPLE_EVERY == 0:
+            series.sample(metrics.next_tick(), scanned)
+        if inner is not None:
+            inner(header, addr)
+
+    return observer
+
+
+def _analysis_phase(
+    ctx: RecoveryContext,
+    header_sink: Callable[[LogAddr, FrameHeader], None],
+) -> AnalysisResult:
+    tracer = ctx.tracer
+    span = 0
+    if tracer is not None:
+        span = tracer.begin("recovery", "analysis", "server",
+                            **ctx.span_attrs, **ctx.analysis_span_attrs)
+    _fire_before(ctx, "analysis")
+    if ctx.analysis_supplier is not None:
+        analysis = ctx.analysis_supplier()
+    else:
+        assert ctx.analysis_scan_start is not None
+        header_observer = ctx.header_observer
+        if ctx.metrics is not None:
+            header_observer = _progress_observer(ctx, header_observer)
+        analysis = analysis_pass(
+            ctx.log, ctx.analysis_scan_start,
+            client_filter=ctx.client_filter,
+            rebuild_log_bookkeeping=ctx.rebuild_log_bookkeeping,
+            faults=ctx.analysis_faults,
+            header_sink=header_sink,
+            header_observer=header_observer,
+        )
+    if tracer is not None:
+        tracer.end(
+            span,
+            records_scanned=analysis.records_scanned,
+            by_client=dict(sorted(analysis.records_by_client.items())),
+            dpl_size=len(analysis.dpl),
+            redo_addr=analysis.redo_addr,
+            end_addr=analysis.end_addr,
+        )
+    if ctx.metrics is not None:
+        ctx.metrics.recovery_pass_records.observe(analysis.records_scanned)
+        # Close the progress meter with the pass total (the in-scan
+        # meter samples every _PROGRESS_SAMPLE_EVERY records only).
+        ctx.metrics.restart_progress.sample(
+            ctx.metrics.next_tick(), analysis.records_scanned)
+    if ctx.after_analysis is not None:
+        ctx.after_analysis(analysis)
+    return analysis
+
+
+def _redo_phase(ctx: RecoveryContext, analysis: AnalysisResult,
+                candidates: List[HeaderItem]) -> RedoStats:
+    """Redo over the fused candidates plus what analysis did not scan.
+
+    ``candidates`` already cover ``[analysis_scan_start, end_addr)``;
+    only the pre-checkpoint range ``[redo_addr, analysis_scan_start)``
+    needs a supplementary header scan.  With no fused scan (analysis
+    came from a supplier, ``candidates`` is empty) that scan covers the
+    whole redo range.
+    """
+    tracer = ctx.tracer
+    forwarded = ctx.pre_redo() if ctx.pre_redo is not None else 0
+    span = 0
+    if tracer is not None:
+        span = tracer.begin("recovery", "redo", "server", **ctx.span_attrs,
+                            redo_addr=analysis.redo_addr)
+    _fire_before(ctx, "redo")
+    covered_from = (analysis.end_addr if ctx.analysis_scan_start is None
+                    else ctx.analysis_scan_start)
+    redo = redo_kernel(
+        ctx.log,
+        chain(ctx.log.scan_headers(analysis.redo_addr, covered_from),
+              candidates),
+        ctx.pages, dpl=analysis.dpl, client_filter=ctx.client_filter,
+        faults=ctx.faults,
+    )
+    # The analysis scan already counted the candidates as scanned.
+    redo.records_scanned -= len(candidates)
+    redo.redos_applied += forwarded
+    if tracer is not None:
+        end_attrs: Dict[str, object] = {
+            "records_scanned": redo.records_scanned,
+            "records_considered": redo.records_considered,
+            "pages_redone": redo.redos_applied,
+        }
+        if ctx.pre_redo is not None:
+            end_attrs["forwarded_redos"] = forwarded
+        end_attrs["by_client"] = dict(sorted(redo.applied_by_client.items()))
+        tracer.end(span, **end_attrs)
+    if ctx.metrics is not None:
+        ctx.metrics.recovery_pass_records.observe(redo.records_scanned)
+    return redo
+
+
+def _resolve_chains(ctx: RecoveryContext, losers: Dict[str, RestartTxn]
+                    ) -> List[HeaderItem]:
+    """Walk every loser's UndoNxtLSN chain via exact address lookups.
+
+    The server's per-client ``<LSN, address>`` pairs (section 2.5.2) are
+    what let undo follow a chain by address instead of scanning
+    backward.  Chains are resolved per loser, then merged in descending
+    address order — exactly the order the backward scan of
+    :func:`undo_pass` visits the same records.  Raises
+    :class:`_ChainLookupMiss` when an LSN has no known address or
+    resolves to another transaction's record.
+    """
+    items: List[HeaderItem] = []
+    for txn_id, txn in losers.items():
+        lsn = txn.undo_next_lsn
+        while lsn != NULL_LSN:
+            addr = ctx.log.addr_of_lsn(txn.client_id, lsn)
+            header = ctx.log.header_at(addr) if addr is not None else None
+            if header is None or header.txn_id != txn_id:
+                # No pair, or the pair of an earlier incarnation of the
+                # client: a reconnected client restarts its LSN stream,
+                # and the pair lists keep the first record per LSN.
+                raise _ChainLookupMiss(f"{txn.client_id}:{lsn}")
+            assert addr is not None
+            items.append((addr, header))
+            if header.is_clr():
+                lsn = header.undo_next_lsn
+            elif header.is_update():
+                lsn = header.prev_lsn
+            else:
+                raise RecoveryInvariantError(
+                    f"undo chain of {txn_id} points at non-undoable "
+                    f"{header.type_name} (lsn {header.lsn})"
+                )
+    items.sort(key=lambda item: item[0], reverse=True)
+    return items
+
+
+def _undo_phase(ctx: RecoveryContext, losers: Dict[str, RestartTxn]
+                ) -> Tuple[UndoStats, Optional[str]]:
+    tracer = ctx.tracer
+    span = 0
+    if tracer is not None:
+        span = tracer.begin("recovery", "undo", "server", **ctx.span_attrs,
+                            losers=len(losers))
+    _fire_before(ctx, "undo")
+    fallback: Optional[str] = None
+    try:
+        chain_items = _resolve_chains(ctx, losers)
+    except _ChainLookupMiss:
+        fallback = "undo-chain-lookup-miss"
+        undo = undo_pass(ctx.log, losers, ctx.pages, ctx.clr_writer,
+                         ctx.logical_undo, faults=ctx.faults)
+    else:
+        undo = undo_kernel(ctx.log, chain_items, losers, ctx.pages,
+                           ctx.clr_writer, ctx.logical_undo, ctx.faults)
+    if tracer is not None:
+        tracer.end(
+            span,
+            records_scanned=undo.records_scanned,
+            clrs_written=undo.clrs_written,
+            txns_rolled_back=undo.txns_rolled_back,
+            by_client=dict(sorted(undo.clrs_by_client.items())),
+        )
+    if ctx.metrics is not None:
+        ctx.metrics.recovery_pass_records.observe(undo.records_scanned)
+    return undo, fallback
+
+
+def _candidate_sink(
+    candidates: List[HeaderItem], client_filter: Optional[Set[str]],
+) -> Callable[[LogAddr, FrameHeader], None]:
+    """The analysis ``header_sink`` that collects redo candidates.
+
+    A candidate is a page-bearing update or CLR of a client in the
+    filter; the DPL RecAddr test can only run once analysis has
+    finished, so the redo kernel applies it.
+    """
+    collect = candidates.append
+
+    def sink(addr: LogAddr, header: FrameHeader) -> None:
+        if (header.is_redoable() and header.page_id >= 0
+                and (client_filter is None
+                     or header.client_id in client_filter)):
+            collect((addr, header))
+
+    return sink
+
+
+def recover(ctx: RecoveryContext) -> RecoveryResult:
+    """The one restart path: fused analysis, redo, chain-walk undo.
+
+    The analysis scan hands every redo candidate it passes to the redo
+    kernel, so the redo range is not scanned a second time; undo visits
+    only the records on the losers' chains, and falls back to the
+    scanning :func:`undo_pass` (recorded in ``fallback``) when a chain
+    LSN is missing from the ``<LSN, address>`` pairs.
+    """
+    candidates: List[HeaderItem] = []
+    analysis = _analysis_phase(
+        ctx, _candidate_sink(candidates, ctx.client_filter))
+    redo = _redo_phase(ctx, analysis, candidates)
+    losers = analysis.losers()
+    if ctx.loser_filter is not None:
+        losers = ctx.loser_filter(losers)
+    undo, fallback = _undo_phase(ctx, losers)
+    return RecoveryResult(analysis, redo, undo, fallback)

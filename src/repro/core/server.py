@@ -40,9 +40,13 @@ from repro.core.lsn import LSN, LogAddr, NULL_ADDR, NULL_LSN
 from repro.core.recovery import (
     AnalysisResult,
     LogicalUndoHandler,
+    RecoveryContext,
+    RecoveryResult,
+    ReplayPages,
     RestartTxn,
+    recover,
+    redo_kernel,
 )
-from repro.recovery.engines import RecoveryContext, make_engine
 from repro.core.server_log import ServerLogManager
 from repro.errors import (
     LockConflictError,
@@ -83,9 +87,8 @@ class RecoveryReport:
     clrs_written: int = 0
     txns_rolled_back: int = 0
     dpl_size: int = 0
-    #: Which recovery engine ran (``SystemConfig.recovery_engine``).
-    engine: str = "serial"
-    #: Why a non-serial engine fell back to the serial passes, if it did.
+    #: Why undo ran the scanning pass instead of walking the losers'
+    #: chains by address, if it did.
     fallback: Optional[str] = None
 
     @property
@@ -1249,14 +1252,11 @@ class Server:
                 if txn.client_id == SERVER_ID or txn.client_id in failed_clients
             }
 
-        engine = make_engine(self.config.recovery_engine,
-                             self.config.recovery_partitions)
-        result = engine.run(RecoveryContext(
+        result = recover(RecoveryContext(
             log=self.log,
             pages=_ServerPageAccess(self),
             clr_writer=_ServerClrWriter(self),
             kind="server-restart",
-            crashpoint_prefix="server.restart",
             analysis_scan_start=start_addr,
             rebuild_log_bookkeeping=True,
             header_observer=self.tracker.observe_header,
@@ -1268,9 +1268,7 @@ class Server:
             analysis_span_attrs={"start_addr": start_addr},
             after_analysis=_after_analysis,
             loser_filter=_restart_losers,
-            partitions=self.config.recovery_partitions,
         ))
-        analysis, redo, undo = result.analysis, result.redo, result.undo
         self.log.force()
 
         # Rebuild the volatile lock table and coherency map from the
@@ -1293,13 +1291,20 @@ class Server:
                     self._note_caching(page_id, client_id)
                 client.server_restarted(self.log.flushed_addr)
             else:
-                self._stash_indoubt(client_id, analysis)
+                self._stash_indoubt(client_id, result.analysis,
+                                    newest_first=False)
                 self.glm.release_all(client_id)
                 self._lock_needed_memo.pop(client_id, None)
                 self.tracker.forget_client(client_id)
 
+        return self._file_report("server-restart", result, root_span)
+
+    def _file_report(self, kind: str, result: RecoveryResult,
+                     root_span: int) -> RecoveryReport:
+        """Record one recovery run's report and close its root span."""
+        analysis, redo, undo = result.analysis, result.redo, result.undo
         report = RecoveryReport(
-            kind="server-restart",
+            kind=kind,
             analysis_records=analysis.records_scanned,
             redo_records_scanned=redo.records_scanned,
             redo_considered=redo.records_considered,
@@ -1308,32 +1313,49 @@ class Server:
             clrs_written=undo.clrs_written,
             txns_rolled_back=undo.txns_rolled_back,
             dpl_size=len(analysis.dpl),
-            engine=result.engine,
             fallback=result.fallback,
         )
         self.last_recovery = report
         self.recovery_reports.append(report)
-        if tracer is not None:
-            tracer.end(root_span,
-                       total_records=report.total_log_records_processed)
+        if self.tracer is not None:
+            self.tracer.end(root_span,
+                            total_records=report.total_log_records_processed)
         return report
 
-    def _stash_indoubt(self, client_id: str, analysis: AnalysisResult) -> None:
-        indoubt = []
-        for txn_id, txn in analysis.txns.items():
-            if txn.client_id != client_id or txn.state != "prepared":
-                continue
-            locks: Tuple = ()
-            for addr, header in self.log.scan_headers_backward():
-                if header.type_tag == "PRE" and header.txn_id == txn_id:
-                    record = self.log.read_at(addr)
-                    assert isinstance(record, PrepareRecord)
-                    locks = record.locks
+    def _stash_indoubt(self, client_id: str, analysis: AnalysisResult,
+                       newest_first: bool) -> None:
+        """Keep a failed client's in-doubt info for its reconnect.
+
+        Section 2.6.1: per prepared branch, the lock list logged in its
+        Prepare record plus the LSN chain state the client needs to
+        later roll the branch back if the coordinator says abort.  One
+        backward scan finds the Prepare records and stops at the last
+        one; with nothing prepared the log is not touched.  Client
+        recovery hands the branches over in log order, newest Prepare
+        first; restart in transaction-table order.
+        """
+        prepared = {
+            txn_id: txn for txn_id, txn in analysis.txns.items()
+            if txn.client_id == client_id and txn.state == "prepared"
+        }
+        if not prepared:
+            return
+        locks: Dict[str, Tuple] = {}
+        for addr, header in self.log.scan_headers_backward():
+            txn_id = header.txn_id
+            if (header.type_tag == "PRE" and txn_id is not None
+                    and txn_id in prepared and txn_id not in locks):
+                record = self.log.read_at(addr)
+                assert isinstance(record, PrepareRecord)
+                locks[txn_id] = record.locks
+                if len(locks) == len(prepared):
                     break
-            indoubt.append((txn_id, locks,
+        indoubt = []
+        for txn_id in (locks if newest_first else prepared):
+            txn = prepared[txn_id]
+            indoubt.append((txn_id, locks.get(txn_id, ()),
                             (txn.last_lsn, txn.undo_next_lsn, txn.first_lsn)))
-        if indoubt:
-            self._indoubt_for_client[client_id] = indoubt
+        self._indoubt_for_client[client_id] = indoubt
 
     # ------------------------------------------------------------------
     # Failed-client recovery (sections 2.6.1 / 2.6.2)
@@ -1380,7 +1402,6 @@ class Server:
             pages=_ServerPageAccess(self),
             clr_writer=_ServerClrWriter(self),
             kind="client-recovery",
-            crashpoint_prefix="server.client_recovery",
             client_filter={client_id},
             logical_undo=self.logical_undo_handler,
             faults=self.faults,
@@ -1388,7 +1409,6 @@ class Server:
             metrics=self.metrics,
             span_attrs={"client": client_id},
             pre_redo=_rebuild_forwarded,
-            partitions=self.config.recovery_partitions,
         )
         if self.config.client_recovery_info is ClientRecoveryInfo.CLIENT_CHECKPOINTS:
             # Section 2.6.1: a real analysis scan from the client's last
@@ -1400,27 +1420,10 @@ class Server:
             # global tracker supply the analysis tables directly.
             ctx.analysis_supplier = (
                 lambda: self._client_analysis_from_lock_table(client_id))
-        engine = make_engine(self.config.recovery_engine,
-                             self.config.recovery_partitions)
-        result = engine.run(ctx)
-        analysis, redo, undo = result.analysis, result.redo, result.undo
+        result = recover(ctx)
         self.log.force()
 
-        # In-doubt info kept for the reconnecting client (section 2.6.1):
-        # the logged lock list plus the LSN chain state the client needs
-        # to later roll the branch back if the coordinator says abort.
-        indoubt: List[Tuple[str, Tuple, Tuple]] = []
-        for addr, header in self.log.scan_headers_backward():
-            if header.type_tag == "PRE" and header.client_id == client_id:
-                txn = analysis.txns.get(header.txn_id or "")
-                if txn is not None and txn.state == "prepared":
-                    record = self.log.read_at(addr)
-                    assert isinstance(record, PrepareRecord)
-                    indoubt.append((record.txn_id, record.locks,
-                                    (txn.last_lsn, txn.undo_next_lsn,
-                                     txn.first_lsn)))
-        if indoubt:
-            self._indoubt_for_client[client_id] = indoubt
+        self._stash_indoubt(client_id, result.analysis, newest_first=True)
 
         # The failed client's lock and cache footprints disappear.
         self.glm.release_all(client_id)
@@ -1442,25 +1445,8 @@ class Server:
                                    tracer)
         self.take_checkpoint()
 
-        report = RecoveryReport(
-            kind=f"client-recovery:{client_id}",
-            analysis_records=analysis.records_scanned,
-            redo_records_scanned=redo.records_scanned,
-            redo_considered=redo.records_considered,
-            redos_applied=redo.redos_applied,
-            undo_records_scanned=undo.records_scanned,
-            clrs_written=undo.clrs_written,
-            txns_rolled_back=undo.txns_rolled_back,
-            dpl_size=len(analysis.dpl),
-            engine=result.engine,
-            fallback=result.fallback,
-        )
-        self.last_recovery = report
-        self.recovery_reports.append(report)
-        if tracer is not None:
-            tracer.end(root_span,
-                       total_records=report.total_log_records_processed)
-        return report
+        return self._file_report(f"client-recovery:{client_id}", result,
+                                 root_span)
 
     def _client_analysis_from_lock_table(self, client_id: str) -> AnalysisResult:
         """Section 2.6.2: DPL = pages under the client's update-privilege
@@ -1649,24 +1635,11 @@ class Server:
 
     def _roll_page_forward(self, page: Page, from_addr: LogAddr) -> int:
         """Apply all missing log records for one page from ``from_addr``."""
-        from repro.core.apply import apply_clr_redo, apply_redo
-        from repro.core.log_records import CompensationRecord
-        applied = 0
-        for addr, header in self.log.scan_headers(max(from_addr, 0)):
-            if not header.is_redoable():
-                continue
-            if header.page_id != page.page_id:
-                continue
-            if page.page_lsn >= header.lsn:
-                continue
-            record = self.log.read_at(addr)
-            if isinstance(record, UpdateRecord):
-                apply_redo(page, record)
-            else:
-                assert isinstance(record, CompensationRecord)
-                apply_clr_redo(page, record)
-            applied += 1
-        return applied
+        start = max(from_addr, 0)
+        return redo_kernel(
+            self.log, self.log.scan_headers(start),
+            ReplayPages({page.page_id: page}), dpl={page.page_id: start},
+        ).redos_applied
 
     # ------------------------------------------------------------------
     # Log space management

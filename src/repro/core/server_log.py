@@ -246,14 +246,16 @@ class ServerLogManager:
         return self.stable.end_of_log_addr
 
     def addr_of_lsn(self, client_id: str, lsn: LSN) -> Optional[LogAddr]:
-        """Exact address of the record a client wrote with this LSN.
+        """Address of the first record a client wrote with this LSN.
 
-        The chain-walking recovery engines use this to jump an undo
-        chain (expected UndoNxtLSN -> record address) instead of the
-        serial backward scan: LSNs within one system are unique and
-        monotonic, so the pair lists answer with one binary search.
-        Returns ``None`` when the pair is unknown (conservative callers
-        fall back to the scanning undo pass).
+        Restart undo uses this to jump an undo chain (expected
+        UndoNxtLSN -> record address) instead of scanning backward: one
+        binary search over the pair lists.  LSNs are monotonic within
+        one incarnation of a client only — a reconnected client restarts
+        its stream and the pair lists keep the first record per LSN —
+        so the caller checks the record found is the one it meant.
+        Returns ``None`` when the pair is unknown (the caller falls back
+        to the scanning undo pass).
         """
         lsns = self._pair_lsns.get(client_id)
         if not lsns:

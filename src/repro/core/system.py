@@ -115,7 +115,7 @@ class ClientServerSystem:
         The mirror of :meth:`attach_tracer`: attachment IS the enable
         switch, so a complex without a hub pays one pointer comparison
         per observation site.  The engine (``repro.engine``) reads
-        ``system.metrics`` directly; recovery engines receive the hub
+        ``system.metrics`` directly; restart recovery receives the hub
         through ``RecoveryContext.metrics``.
         """
         self.metrics = hub

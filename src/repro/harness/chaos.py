@@ -168,7 +168,6 @@ class _WorkloadRun:
 
     def __init__(self, seed: int, schedule: Schedule,
                  engine: bool = False, sanitizer: bool = False,
-                 recovery_engine: str = "serial",
                  flight: bool = False,
                  replication: bool = False) -> None:
         self.seed = seed
@@ -205,7 +204,6 @@ class _WorkloadRun:
             server_checkpoint_interval=0,
             max_lsn_sync_period=4,
             sanitizer=sanitizer,
-            recovery_engine=recovery_engine,
             replication_enabled=replication,
             # Small apply interval so the standby's apply loop (and its
             # crashpoint) actually runs during the scripted workload.
@@ -511,8 +509,6 @@ class ExplorerSummary:
     #: Whether the script's transactions ran through the event-driven
     #: engine (``--engine``) instead of the direct client API.
     engine: bool = False
-    #: Which recovery engine every schedule's recoveries ran under.
-    recovery_engine: str = "serial"
     #: Whether the sweep ran against a complex with a warm standby
     #: attached (plus the fail-stop + failover coda).
     replication: bool = False
@@ -542,7 +538,6 @@ class ExplorerSummary:
             "seed": self.seed,
             "quick": self.quick,
             "engine": self.engine,
-            "recovery_engine": self.recovery_engine,
             "replication": self.replication,
             "schedules_explored": self.schedules_explored,
             "points_covered": self.points_covered,
@@ -558,8 +553,7 @@ class ExplorerSummary:
             f"chaos sweep: seed={self.seed} "
             f"mode={'quick' if self.quick else 'full'}"
             f"{' executor=engine' if self.engine else ''}"
-            f"{' replication=on' if self.replication else ''}"
-            f"{'' if self.recovery_engine == 'serial' else ' recovery=' + self.recovery_engine}",
+            f"{' replication=on' if self.replication else ''}",
             f"  crashpoints censused : {self.points_covered}"
             f" (of {len(CRASHPOINTS)} instrumented)",
             f"  schedules explored   : {self.schedules_explored}"
@@ -581,7 +575,6 @@ class CrashScheduleExplorer:
     def __init__(self, seed: int = 0, quick: bool = False,
                  budget: Optional[int] = None,
                  engine: bool = False, sanitizer: bool = False,
-                 recovery_engine: str = "serial",
                  flight: bool = False,
                  flight_dir: Optional[str] = None,
                  replication: bool = False) -> None:
@@ -590,7 +583,6 @@ class CrashScheduleExplorer:
         self.budget = budget
         self.engine = engine
         self.sanitizer = sanitizer
-        self.recovery_engine = recovery_engine
         self.replication = replication
         #: Arm the per-node flight recorder for every run; dumps are
         #: captured on crashpoints / sanitizer violations / durability
@@ -673,7 +665,6 @@ class CrashScheduleExplorer:
         seed, schedule = parse_schedule_id(sid)
         replayer = CrashScheduleExplorer(seed=seed, engine=self.engine,
                                          sanitizer=self.sanitizer,
-                                         recovery_engine=self.recovery_engine,
                                          flight=self.flight,
                                          flight_dir=self.flight_dir,
                                          replication=self.replication)
@@ -687,14 +678,12 @@ class CrashScheduleExplorer:
         return ExplorerSummary(seed=self.seed, quick=self.quick,
                                census=census, results=results,
                                engine=self.engine,
-                               recovery_engine=self.recovery_engine,
                                replication=self.replication)
 
     def _execute(self, schedule: Schedule) -> Tuple[_WorkloadRun,
                                                     ScheduleResult]:
         run = _WorkloadRun(self.seed, schedule, engine=self.engine,
                            sanitizer=self.sanitizer,
-                           recovery_engine=self.recovery_engine,
                            flight=self.flight,
                            replication=self.replication)
         recorder = run.system.flight
@@ -816,14 +805,15 @@ def _digest(sid: str, fired: List[Tuple[str, int]], script_completed: bool,
 def _durability_digest(sid: str, outcomes: Dict[str, str],
                        violations: List[str],
                        final_values: List[Tuple[str, str]]) -> str:
-    """sha256 over the engine-independent slice of a run's outcome.
+    """sha256 over the slice of a run's outcome every sweep must share.
 
     The full ``_digest`` pins fault-plan counters and crashpoint hit
-    counts, which legitimately differ between recovery engines (they
-    fire per-record crashpoints on different scan shapes).  What must
-    NOT differ is what the complex *decided*: transaction outcomes,
-    violations, and the recovered values.  Matrix mode compares exactly
-    this slice across engines, schedule id by schedule id.
+    counts, which legitimately differ between sweeps (a replicated
+    complex fires ship/apply crashpoints; a change to recovery's scan
+    shape moves its per-record crashpoints).  What must NOT differ is
+    what the complex *decided*: transaction outcomes, violations, and
+    the recovered values.  Replication parity compares exactly this
+    slice, schedule id by schedule id.
     """
     payload = {
         "schedule_id": sid,
@@ -904,79 +894,6 @@ def render_parity_text(report: Dict[str, Any]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Engine matrix
-# ---------------------------------------------------------------------------
-
-def run_engine_matrix(seed: int = 0, quick: bool = False,
-                      budget: Optional[int] = None, engine: bool = False,
-                      sanitizer: bool = False) -> Dict[str, Any]:
-    """The same sweep under every recovery engine; durability must agree.
-
-    Each engine gets its own census and enumeration (its crashpoint
-    shapes differ), then every schedule id two engines have in common
-    must carry identical durability digests — same transaction
-    outcomes, same violations (none), same recovered values.
-    """
-    from repro.recovery.engines import ENGINE_NAMES
-
-    summaries: Dict[str, ExplorerSummary] = {}
-    for name in ENGINE_NAMES:
-        explorer = CrashScheduleExplorer(seed=seed, quick=quick,
-                                         budget=budget, engine=engine,
-                                         sanitizer=sanitizer,
-                                         recovery_engine=name)
-        summaries[name] = explorer.explore()
-    baseline = summaries["serial"]
-    base_durability = {r.schedule_id: r.durability_digest
-                       for r in baseline.results}
-    mismatches: List[str] = []
-    compared = 0
-    for name, summary in summaries.items():
-        if name == "serial":
-            continue
-        for result in summary.results:
-            expected = base_durability.get(result.schedule_id)
-            if expected is None:
-                continue
-            compared += 1
-            if result.durability_digest != expected:
-                mismatches.append(
-                    f"{name}: {result.schedule_id} durability diverges "
-                    f"from serial")
-    violations = [v for s in summaries.values() for v in s.violations]
-    return {
-        "seed": seed,
-        "quick": quick,
-        "schedules_compared": compared,
-        "mismatches": mismatches,
-        "violations": violations,
-        "engines": {name: summary.to_dict()
-                    for name, summary in summaries.items()},
-    }
-
-
-def render_matrix_text(report: Dict[str, Any]) -> str:
-    lines = [
-        f"chaos engine matrix: seed={report['seed']} "
-        f"mode={'quick' if report['quick'] else 'full'}",
-    ]
-    for name, summary in report["engines"].items():
-        lines.append(
-            f"  {name:12s}: {summary['schedules_explored']} schedules, "
-            f"{len(summary['violations'])} violations")
-    lines.append(f"  durability digests compared across engines: "
-                 f"{report['schedules_compared']}")
-    for mismatch in report["mismatches"]:
-        lines.append(f"    FAIL {mismatch}")
-    for violation in report["violations"]:
-        lines.append(f"    FAIL {violation}")
-    if not report["mismatches"] and not report["violations"]:
-        lines.append("  all engines recovered every schedule to the "
-                     "identical durable state")
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
@@ -999,12 +916,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="arm the runtime latch/lock-order sanitizer "
                              "for every schedule (a violation aborts the "
                              "sweep with a traceback)")
-    parser.add_argument("--recovery-engine", default="serial",
-                        choices=["serial", "partitioned", "redo_only",
-                                 "matrix"],
-                        help="recovery engine for every recovery in the "
-                             "sweep; 'matrix' sweeps under all three and "
-                             "requires identical durability digests")
     parser.add_argument("--replication", action="store_true",
                         help="attach a warm standby to every run, add a "
                              "fail-stop + failover coda, and explore the "
@@ -1038,26 +949,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if not report["mismatches"] and not report["violations"] \
             else 1
 
-    if args.recovery_engine == "matrix" and not args.replay and not args.list:
-        report = run_engine_matrix(seed=args.seed, quick=args.quick,
-                                   budget=args.budget, engine=args.engine,
-                                   sanitizer=args.sanitizer)
-        print(render_matrix_text(report))
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                json.dump(report, handle, indent=2, sort_keys=True)
-            print(f"report written to {args.out}")
-        return 0 if not report["mismatches"] and not report["violations"] \
-            else 1
-
-    recovery_engine = ("serial" if args.recovery_engine == "matrix"
-                       else args.recovery_engine)
     explorer = CrashScheduleExplorer(seed=args.seed, quick=args.quick,
                                      budget=args.budget,
                                      engine=args.engine,
                                      sanitizer=args.sanitizer,
-                                     recovery_engine=recovery_engine,
-                                     flight_dir=args.flight_dir,
+                                                              flight_dir=args.flight_dir,
                                      replication=args.replication)
     if args.replay:
         first = explorer.replay(args.replay)

@@ -518,28 +518,19 @@ def transport_from_config(config: Any) -> Transport:
 
 
 def retry_policy_from_config(config: Any) -> RetryPolicy:
-    """Build the stub retry policy one :class:`SystemConfig` asks for.
+    """Build the stub retry policy ``config.rpc_backoff`` asks for.
 
-    ``config.rpc_backoff`` (a :class:`repro.config.RpcBackoff`) is the
-    unified policy object; when it is ``None`` the legacy scalar knobs
-    apply, with the cap set to the value the uncapped doubling would
-    first exceed — so default-config backoff sequences (and therefore
-    ``delay_total``/``backoff_ticks``) are bit-for-bit unchanged.
+    The default :class:`repro.config.RpcBackoff` cap (256 = 1 * 2**8)
+    lies past the last of its eight doubling waits, so default-config
+    backoff sequences (and therefore ``delay_total``/``backoff_ticks``)
+    are the plain doubling.
     """
-    backoff = getattr(config, "rpc_backoff", None)
-    if backoff is not None:
-        return RetryPolicy(
-            max_retries=backoff.max_retries,
-            backoff_base=backoff.base,
-            timeout=backoff.timeout,
-            backoff_cap=backoff.cap,
-            jitter=backoff.jitter,
-            seed=config.seed,
-        )
+    backoff = config.rpc_backoff
     return RetryPolicy(
-        max_retries=config.rpc_max_retries,
-        backoff_base=config.rpc_backoff_base,
-        timeout=config.rpc_timeout,
-        backoff_cap=config.rpc_backoff_base * (2.0 ** config.rpc_max_retries),
+        max_retries=backoff.max_retries,
+        backoff_base=backoff.base,
+        timeout=backoff.timeout,
+        backoff_cap=backoff.cap,
+        jitter=backoff.jitter,
         seed=config.seed,
     )

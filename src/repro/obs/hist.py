@@ -215,10 +215,10 @@ class MetricsHub:
         "rpc_batch_calls",        # net.rpc: sub-calls per BatchEnvelope
         "log_force_bytes",        # storage.stable_log: bytes made stable
         "group_commit_batch",     # core.server_log: riders per group force
-        "recovery_pass_records",  # recovery.engines: records per pass
+        "recovery_pass_records",  # core.recovery: records per pass
         "ship_lag_records",       # replication.stream: standby lag per ack
         # --- time series ---
-        "restart_progress",       # recovery.engines: records scanned
+        "restart_progress",       # core.recovery: records scanned
         "engine_progress",        # engine.core: txns finished over ticks
         # --- internal ---
         "_tick",

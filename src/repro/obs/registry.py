@@ -102,7 +102,7 @@ TRACKED_HISTOGRAM_ATTRS = frozenset({
     "log_force_bytes",
     # core.server_log.GroupForceScheduler
     "group_commit_batch",
-    # recovery.engines (all engines, per pass)
+    # core.recovery.recover (per pass)
     "recovery_pass_records",
     # replication.stream: records the standby trails the primary by,
     # observed at each durable ship ack
@@ -113,7 +113,7 @@ TRACKED_HISTOGRAM_ATTRS = frozenset({
 #: attribute sampled somewhere in the codebase.  Rule OBS002 applies
 #: the same closed loop to ``.sample(...)`` calls.
 TRACKED_TIMESERIES_ATTRS = frozenset({
-    # recovery.engines: records scanned during restart analysis
+    # core.recovery.recover: records scanned during restart analysis
     "restart_progress",
     # engine.core: transactions finished over the engine's op clock
     "engine_progress",

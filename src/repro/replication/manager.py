@@ -22,8 +22,8 @@ three states:
     epoch, every later envelope from it rejected with
     :class:`~repro.net.rpc.StaleEpochError`), built a fresh
     :class:`~repro.core.server.Server` around the standby's replicas,
-    and rolled the unapplied tail forward through the configured
-    recovery engine.  Clients are repointed; the complex runs on.
+    and rolled the unapplied tail forward through restart recovery.
+    Clients are repointed; the complex runs on.
 
 A promotion attempt that dies at a crashpoint is retried by calling
 :meth:`promote` again: the standby process "restarts" (volatile
@@ -375,8 +375,7 @@ class ReplicationManager:
         old.replication = None
         old.dispatcher.completed_tap = None
         if tracer is not None:
-            tracer.end(span, engine=report.engine,
-                       records=report.total_log_records_processed)
+            tracer.end(span, records=report.total_log_records_processed)
         return report
 
     def stale_primary_probe(self) -> bool:

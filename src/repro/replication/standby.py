@@ -32,17 +32,19 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.core.apply import apply_clr_redo, apply_redo, redo_needed
 from repro.core.commit_lsn import GlobalTransactionTracker
 from repro.core.log_records import (
     BeginCheckpointRecord,
+    CompensationRecord,
     DirtyPageEntry,
     EndCheckpointRecord,
     LogRecord,
     SERVER_ID,
     TxnTableEntry,
+    UpdateRecord,
 )
 from repro.core.lsn import LogAddr, NULL_ADDR, NULL_LSN
+from repro.core.recovery import ReplayPages, redo_kernel
 from repro.core.server_log import ServerLogManager
 from repro.errors import (
     NodeUnavailableError,
@@ -245,24 +247,15 @@ class StandbyServer:
         faults = self.faults
         if faults is not None:
             faults.crashpoint("replication.apply.before_redo", self.tracer)
-        pages: Dict[int, Page] = {}
-        applied = 0
-        for addr, record in self.log.scan(self.applied_addr, target):
-            if not record.is_redoable() or record.page_id < 0:
-                continue
-            page = pages.get(record.page_id)
-            if page is None:
-                page = self._fetch_page(record.page_id)
-                pages[record.page_id] = page
-            if not redo_needed(page, record.lsn):
-                continue
-            if record.is_clr():
-                apply_clr_redo(page, record)
-            else:
-                apply_redo(page, record)
-            applied += 1
-        for page_id in sorted(pages):
-            self._install_page(pages[page_id])
+        # The shipped tail is update-dense, so decoding each frame once
+        # beats peeking its header and decoding it again to apply it.
+        tail = ((addr, record)
+                for addr, record in self.log.scan(self.applied_addr, target)
+                if isinstance(record, (UpdateRecord, CompensationRecord)))
+        replica = ReplayPages({}, load=self._fetch_page)
+        applied = redo_kernel(self.log, tail, replica).redos_applied
+        for page_id in sorted(replica.pages):
+            self._install_page(replica.pages[page_id])
         self.applied_addr = target
         self._unapplied = {
             page_id: first_addr

@@ -5,7 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SystemConfig
+from repro.core.recovery import (
+    RecoveryContext,
+    RecoveryResult,
+    analysis_pass,
+    redo_pass,
+    undo_pass,
+)
 from repro.core.system import ClientServerSystem
+from repro.errors import RecordNotFoundError
 from repro.workloads.generator import seed_table
 
 
@@ -44,3 +52,66 @@ def make_system(client_ids=("C1", "C2"), data_pages=8, free_pages=32,
     complex_ = ClientServerSystem(config, client_ids=client_ids)
     complex_.bootstrap(data_pages=data_pages, free_pages=free_pages)
     return complex_
+
+
+# ---------------------------------------------------------------------------
+# The restart equivalence oracle
+# ---------------------------------------------------------------------------
+
+def reference_recover(ctx: RecoveryContext) -> RecoveryResult:
+    """The paper's three passes, run back to back over one context.
+
+    The reference the production driver (``repro.core.recovery.recover``)
+    is compared against: a full analysis scan, a second scan of the redo
+    range, and a backward scan of the whole log for undo.
+    """
+    if ctx.analysis_supplier is not None:
+        analysis = ctx.analysis_supplier()
+    else:
+        analysis = analysis_pass(
+            ctx.log, ctx.analysis_scan_start,
+            client_filter=ctx.client_filter,
+            rebuild_log_bookkeeping=ctx.rebuild_log_bookkeeping,
+            header_observer=ctx.header_observer)
+    if ctx.after_analysis is not None:
+        ctx.after_analysis(analysis)
+    forwarded = ctx.pre_redo() if ctx.pre_redo is not None else 0
+    redo = redo_pass(ctx.log, analysis, ctx.pages,
+                     client_filter=ctx.client_filter)
+    redo.redos_applied += forwarded
+    losers = analysis.losers()
+    if ctx.loser_filter is not None:
+        losers = ctx.loser_filter(losers)
+    undo = undo_pass(ctx.log, losers, ctx.pages, ctx.clr_writer,
+                     ctx.logical_undo)
+    return RecoveryResult(analysis, redo, undo)
+
+
+def restart_all_with_reference_passes(system: ClientServerSystem):
+    """``system.restart_all()`` with the driver swapped for the passes."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.core.server.recover", reference_recover)
+        return system.restart_all()
+
+
+def recovered_state(system: ClientServerSystem, report, rids) -> dict:
+    """Everything two equivalent restarts must agree on, byte for byte."""
+    values = {}
+    for rid in rids:
+        try:
+            values[(rid.page_id, rid.slot)] = system.current_value(rid)
+        except RecordNotFoundError:
+            values[(rid.page_id, rid.slot)] = None
+    pages = {}
+    for page_id in sorted({rid.page_id for rid in rids}):
+        page = system.server_visible_page(page_id)
+        pages[page_id] = (page.page_lsn, dict(page._records))
+    return {
+        "values": values,
+        "pages": pages,
+        "counters": (report.redos_applied, report.clrs_written,
+                     report.txns_rolled_back),
+        # Identical up to the crash by construction, so equality pins
+        # exactly the bytes undo (CLRs, rollback Ends) appended.
+        "log_bytes": bytes(system.server.log.stable._buf),
+    }

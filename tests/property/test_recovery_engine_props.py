@@ -1,24 +1,21 @@
-"""Property: every recovery engine restarts to the same durable state.
+"""Property: the restart driver is byte-identical to the reference passes.
 
-The serial, partitioned and redo_only engines must agree on randomized
-crash states: identical record values everywhere, identical loser sets
-and CLR counts, and — for partitioned, which promises byte-identity
-with serial — identical page images including page_LSNs.  redo_only
-never re-applies loser updates, so its page_LSNs may legitimately
-differ; its *logical* page content (the record arrays) must not.
+On randomized crash states a production ``restart_all()`` (the fused
+driver, ``repro.core.recovery.recover``) and the paper's three passes
+run back to back must agree on everything durable: record values, page
+images including page_LSNs, the redo/CLR/rollback counters, and the
+bytes undo appended to the log.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import SystemConfig
 from repro.core.system import ClientServerSystem
-from repro.errors import RecordNotFoundError
 from repro.workloads.generator import seed_table
+from tests.conftest import recovered_state, restart_all_with_reference_passes
 
 SLOW = settings(max_examples=15, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
-
-ENGINES = ("serial", "partitioned", "redo_only")
 
 #: One step per transaction: (client 0/1, rid choice, outcome, ckpt?).
 #: Outcomes: 0 = commit, 1 = rollback, 2 = strand (left in flight).
@@ -28,7 +25,7 @@ steps = st.lists(
     min_size=1, max_size=14)
 
 
-def build_crash_state(engine, script):
+def build_crash_state(script):
     """Replay ``script`` deterministically, then crash the complex.
 
     Each client works a disjoint half of the rid space, and a rid with
@@ -39,8 +36,7 @@ def build_crash_state(engine, script):
                           server_buffer_frames=6,
                           client_checkpoint_interval=0,
                           server_checkpoint_interval=0,
-                          max_lsn_sync_period=4,
-                          recovery_engine=engine)
+                          max_lsn_sync_period=4)
     system = ClientServerSystem(config, client_ids=("C1", "C2"))
     system.bootstrap(data_pages=4, free_pages=4)
     rids = seed_table(system, "C1", "t", 4, 3)
@@ -71,53 +67,14 @@ def build_crash_state(engine, script):
     return system, rids
 
 
-def restart_under(engine, script):
-    system, rids = build_crash_state(engine, script)
-    report = system.restart_all()
-    values = {}
-    for rid in rids:
-        try:
-            values[(rid.page_id, rid.slot)] = system.current_value(rid)
-        except RecordNotFoundError:
-            values[(rid.page_id, rid.slot)] = None
-    pages = {}
-    for page_id in sorted({rid.page_id for rid in rids}):
-        page = system.server_visible_page(page_id)
-        pages[page_id] = (page.page_lsn, list(page._records))
-    return report, values, pages
-
-
-class TestEngineEquivalence:
+class TestDriverEquivalence:
     @SLOW
     @given(steps)
-    def test_engines_agree_on_randomized_crash_states(self, script):
-        results = {e: restart_under(e, script) for e in ENGINES}
-        serial_report, serial_values, serial_pages = results["serial"]
-
-        for engine in ("partitioned", "redo_only"):
-            report, values, pages = results[engine]
-            # Same durable values and the same loser set everywhere.
-            assert values == serial_values, engine
-            assert report.txns_rolled_back == serial_report.txns_rolled_back
-            assert report.clrs_written == serial_report.clrs_written
-
-        # Partitioned promises byte-identity: page images including LSNs.
-        _, _, part_pages = results["partitioned"]
-        assert part_pages == serial_pages
-
-        # redo_only (when its gate held) skips loser redo, so page_LSNs
-        # may differ — but the logical content must match record for
-        # record.
-        _, _, ro_pages = results["redo_only"]
-        for page_id, (_lsn, records) in ro_pages.items():
-            assert records == serial_pages[page_id][1]
-
-    @SLOW
-    @given(steps)
-    def test_partitioned_matches_serial_counters(self, script):
-        serial_report, _, _ = restart_under("serial", script)
-        part_report, _, _ = restart_under("partitioned", script)
-        assert part_report.redos_applied == serial_report.redos_applied
-        assert part_report.clrs_written == serial_report.clrs_written
-        assert part_report.txns_rolled_back == serial_report.txns_rolled_back
-        assert part_report.fallback is None or part_report.fallback
+    def test_driver_matches_reference_passes_on_randomized_crash_states(
+            self, script):
+        system, rids = build_crash_state(script)
+        report = system.restart_all()
+        reference, _ = build_crash_state(script)
+        reference_report = restart_all_with_reference_passes(reference)
+        assert (recovered_state(system, report, rids)
+                == recovered_state(reference, reference_report, rids))

@@ -1,35 +1,39 @@
-"""Unit tests for the pluggable recovery engines (DESIGN.md section 13).
+"""The restart driver against the reference passes (DESIGN.md section 13).
 
-The randomized equivalence contract lives in
-``tests/property/test_recovery_engine_props.py``; these tests pin the
-factory, the per-engine restart reports on one deterministic crash
-state, and the redo_only applicability gate's fallback reasons.
+Production restart is ``repro.core.recovery.recover``: analysis fused
+with redo-candidate collection, then undo along the losers' chains.  The
+paper's three passes (``analysis_pass``/``redo_pass``/``undo_pass``) are
+the reference: on an identically built crash state they must leave the
+same values, page images including page_LSNs, counters, and log bytes.
+The randomized form of the contract lives in
+``tests/property/test_recovery_engine_props.py``; these tests pin it on
+deterministic crash states, including the one where the chain walk has
+to fall back to the scanning undo pass.
 """
 
 import pytest
 
 from repro.config import SystemConfig
 from repro.core.system import ClientServerSystem
-from repro.recovery.engines import ENGINE_NAMES, make_engine
 from repro.workloads.generator import seed_table
+from tests.conftest import recovered_state, restart_all_with_reference_passes
 
 
-def build_system(engine):
+def build_system():
     config = SystemConfig(client_buffer_frames=4,
                           server_buffer_frames=8,
                           client_checkpoint_interval=0,
                           server_checkpoint_interval=0,
-                          max_lsn_sync_period=4,
-                          recovery_engine=engine)
+                          max_lsn_sync_period=4)
     system = ClientServerSystem(config, client_ids=("C1", "C2"))
     system.bootstrap(data_pages=4, free_pages=4)
     rids = seed_table(system, "C1", "t", 4, 3)
     return system, rids
 
 
-def crash_with_losers(engine):
+def crash_with_losers():
     """Committed history from both clients plus one stranded loser each."""
-    system, rids = build_system(engine)
+    system, rids = build_system()
     c1, c2 = system.client("C1"), system.client("C2")
     for i in range(6):
         client = c1 if i % 2 == 0 else c2
@@ -47,77 +51,75 @@ def crash_with_losers(engine):
     return system, rids
 
 
-class TestFactory:
-    def test_engine_names_round_trip(self):
-        for name in ENGINE_NAMES:
-            assert make_engine(name).name == name
-
-    def test_unknown_engine_lists_the_valid_names(self):
-        with pytest.raises(ValueError) as err:
-            make_engine("optimistic")
-        for name in ENGINE_NAMES:
-            assert name in str(err.value)
-
-
-class TestEnginesOnOneCrashState:
-    def test_partitioned_pages_byte_identical_to_serial(self):
-        serial_sys, rids = crash_with_losers("serial")
-        serial_report = serial_sys.restart_all()
-        part_sys, _ = crash_with_losers("partitioned")
-        part_report = part_sys.restart_all()
-
-        assert part_report.fallback is None
-        assert part_report.redos_applied == serial_report.redos_applied
-        assert part_report.clrs_written == serial_report.clrs_written
-        assert part_report.txns_rolled_back == serial_report.txns_rolled_back
-        for rid in rids:
-            serial_page = serial_sys.server_visible_page(rid.page_id)
-            part_page = part_sys.server_visible_page(rid.page_id)
-            assert part_page.page_lsn == serial_page.page_lsn
-            assert list(part_page._records) == list(serial_page._records)
-
-    def test_redo_only_skips_loser_redo_same_values(self):
-        serial_sys, rids = crash_with_losers("serial")
-        serial_report = serial_sys.restart_all()
-        ro_sys, _ = crash_with_losers("redo_only")
-        ro_report = ro_sys.restart_all()
-
-        assert ro_report.fallback is None
-        assert ro_report.txns_rolled_back == serial_report.txns_rolled_back
-        assert ro_report.clrs_written == serial_report.clrs_written
-        # The losers' updates are never applied, so redo_only redoes
-        # strictly less than serial on this corpus.
-        assert ro_report.redos_applied < serial_report.redos_applied
-        for rid in rids:
-            assert (ro_sys.server_visible_value(rid)
-                    == serial_sys.server_visible_value(rid))
+def crash_with_prepared():
+    """A committed transaction and an in-doubt one survive the crash."""
+    system, rids = build_system()
+    c1 = system.client("C1")
+    committed = c1.begin("ok")
+    c1.update(committed, rids[0], ("kept", 0))
+    c1.commit(committed)
+    prepared = c1.begin("in-doubt")
+    c1.update(prepared, rids[1], ("prepared", 1))
+    c1.prepare(prepared)
+    c1._ship_log_records()
+    system.server.log.force()
+    system.crash_all()
+    return system, rids
 
 
-class TestRedoOnlyGate:
-    def test_prepared_transaction_forces_serial_fallback(self):
-        system, rids = build_system("redo_only")
-        c1 = system.client("C1")
-        txn = c1.begin("in-doubt")
-        c1.update(txn, rids[0], ("prepared", 1))
-        c1.prepare(txn)
-        c1._ship_log_records()
-        system.server.log.force()
-        system.crash_all()
+def crash_with_shadowed_chain():
+    """A loser whose chain LSN the ``<LSN, address>`` pairs cannot find.
+
+    A reconnected client restarts its LSN stream, and the pair lists
+    keep the first record per LSN: the loser's only update reuses an LSN
+    of the client's first incarnation, so ``addr_of_lsn`` resolves it to
+    a record of an older transaction.
+    """
+    system, rids = build_system()
+    c1 = system.client("C1")
+    for i in range(3):
+        txn = c1.begin(f"first-life-{i}")
+        c1.update(txn, rids[0], ("first-life", i))
+        c1.commit(txn)
+    system.crash_client("C1")
+    system.reconnect_client("C1")
+    loser = c1.begin("second-life-loser")
+    c1.update(loser, rids[4], ("loser", 0))
+    c1._ship_log_records()
+    system.server.log.force()
+    system.crash_all()
+    return system, rids
+
+
+class TestDriverAgainstReferencePasses:
+    @pytest.mark.parametrize("crash_state,fallback", [
+        (crash_with_losers, None),
+        (crash_with_prepared, None),
+        (crash_with_shadowed_chain, "undo-chain-lookup-miss"),
+    ])
+    def test_identical_pages_counters_and_log_bytes(self, crash_state,
+                                                    fallback):
+        system, rids = crash_state()
         report = system.restart_all()
-        assert report.fallback == "prepared-transactions-present"
+        reference, _ = crash_state()
+        reference_report = restart_all_with_reference_passes(reference)
 
-    def test_fallback_still_recovers_correctly(self):
-        system, rids = build_system("redo_only")
-        c1 = system.client("C1")
-        committed = c1.begin("ok")
-        c1.update(committed, rids[0], ("kept", 0))
-        c1.commit(committed)
-        prepared = c1.begin("in-doubt")
-        c1.update(prepared, rids[1], ("prepared", 1))
-        c1.prepare(prepared)
-        c1._ship_log_records()
-        system.server.log.force()
-        system.crash_all()
+        assert report.fallback == fallback
+        assert reference_report.fallback is None
+        assert (recovered_state(system, report, rids)
+                == recovered_state(reference, reference_report, rids))
+
+    def test_losers_are_rolled_back_and_committed_values_kept(self):
+        system, rids = crash_with_losers()
         report = system.restart_all()
-        assert report.fallback == "prepared-transactions-present"
-        assert system.server_visible_value(rids[0]) == ("kept", 0)
+        assert report.txns_rolled_back == 2
+        assert report.clrs_written == 2
+        assert system.server_visible_value(rids[3]) == ("committed", 3)
+
+    def test_chain_lookup_miss_still_rolls_the_loser_back(self):
+        system, rids = crash_with_shadowed_chain()
+        report = system.restart_all()
+        assert report.fallback == "undo-chain-lookup-miss"
+        assert report.txns_rolled_back == 1
+        assert system.server_visible_value(rids[0]) == ("first-life", 2)
+        assert system.server_visible_value(rids[4]) != ("loser", 0)

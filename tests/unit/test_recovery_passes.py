@@ -16,9 +16,17 @@ from repro.core.log_records import (
     UpdateOp,
     UpdateRecord,
 )
+from repro.config import SystemConfig
 from repro.core.lsn import NULL_LSN
-from repro.core.recovery import analysis_pass, redo_pass, undo_pass
+from repro.core.recovery import (
+    RecoveryContext,
+    analysis_pass,
+    recover,
+    redo_pass,
+    undo_pass,
+)
 from repro.core.server_log import ServerLogManager
+from repro.core.system import ClientServerSystem
 from repro.storage.page import Page, PageKind
 
 
@@ -191,6 +199,76 @@ class TestRedo:
         stats = redo_pass(log, result, pages)
         assert stats.redos_applied == 1
         assert pages.fetch(4).read_record(0) == b"uncommitted"
+
+
+#: One page's whole life: formatted, inserted into, modified, the
+#: modify compensated by a partial rollback, then committed — every
+#: record kind the redo kernel applies, and no loser for undo to touch.
+ONE_PAGE_HISTORY = [
+    UpdateRecord(lsn=1, client_id="C1", txn_id="T1", prev_lsn=0, page_id=9,
+                 op=UpdateOp.PAGE_FORMAT, redo_only=True, page_kind="data"),
+    upd(2, "T1", page=9, prev=1, op=UpdateOp.RECORD_INSERT, before=None,
+        after=b"v1"),
+    upd(3, "T1", page=9, prev=2, before=b"v1", after=b"v2"),
+    CompensationRecord(lsn=4, client_id="C1", txn_id="T1", prev_lsn=3,
+                       undo_next_lsn=2, page_id=9,
+                       op=UpdateOp.RECORD_MODIFY, slot=0, after=b"v1"),
+    CommitRecord(lsn=5, client_id="C1", txn_id="T1", prev_lsn=4),
+    EndRecord(lsn=6, client_id="C1", txn_id="T1", prev_lsn=5,
+              outcome=TxnOutcome.COMMITTED),
+]
+
+
+class FreshPages(FakePages):
+    """Pages start as unformatted frames, as restart redo finds them."""
+
+    def fetch(self, page_id):
+        if page_id not in self.pages:
+            self.pages[page_id] = Page(page_id, PageKind.FREE)
+        return self.pages[page_id]
+
+
+def replay_one_page(entry):
+    """Replay ONE_PAGE_HISTORY through one entry point; return page 9."""
+    if entry in ("redo_pass", "driver"):
+        log = ServerLogManager()
+        log.append_from_client("C1", list(ONE_PAGE_HISTORY))
+        pages = FreshPages()
+        if entry == "redo_pass":
+            redo_pass(log, analysis_pass(log, 0), pages)
+        else:
+            recover(RecoveryContext(
+                log=log, pages=pages, clr_writer=ClrSink(log),
+                kind="server-restart", analysis_scan_start=0))
+        return pages.fetch(9)
+    system = ClientServerSystem(SystemConfig(replication_enabled=True),
+                                client_ids=("C1",))
+    # Disk and archive hold the never-formatted frame the log builds on.
+    server = system.server
+    server.disk.write_page(Page(9, PageKind.FREE, server.config.page_size))
+    server.archive.backup_from_disk(server.disk, redo_start_addr=0)
+    server.log.append_from_client("C1", list(ONE_PAGE_HISTORY))
+    server.log.force()
+    if entry == "recover_corrupted_page":
+        return server.recover_corrupted_page(9)[0]
+    if entry == "media_recover_page":
+        return server.media_recover_page(9)[0]
+    assert entry == "apply_tail"
+    system.replication.ship()
+    standby = system.replication.standby
+    standby.apply_tail()
+    return standby.disk.read_page(9)
+
+
+class TestOneReplayKernel:
+    @pytest.mark.parametrize("entry", [
+        "redo_pass", "driver", "recover_corrupted_page",
+        "media_recover_page", "apply_tail",
+    ])
+    def test_every_replay_entry_point_builds_the_same_page(self, entry):
+        page = replay_one_page(entry)
+        assert page.kind is PageKind.DATA
+        assert (page.page_lsn, dict(page._records)) == (4, {0: b"v1"})
 
 
 class TestUndo:
