@@ -31,23 +31,39 @@ LSN is its loser's expected UndoNxtLSN).  A log scan and a pre-collected
 list are just two sources for the same loop, so :func:`redo_pass` and
 :func:`undo_pass` — the paper's passes, kept as the reference the
 equivalence tests compare against — page repair, media recovery and
-standby apply are all kernel callers.  :func:`recover` is the one
-restart path on top: analysis fused with redo-candidate collection, redo
-over the candidates, undo along the losers' chains resolved through the
-server's per-client ``<LSN, address>`` pairs (section 2.5.2), with the
-scanning :func:`undo_pass` as the recorded fallback.  The driver reaches
-pages only through :class:`RecoveryPageAccess` and emits log records
-only through :class:`ClrWriter` (lint rule REC060 enforces both).
+standby apply are all kernel callers.  The redo kernel's ordering
+contract is per page: items ascend by address *within a page*, which is
+the only order ``page_LSN < LSN`` can observe; across pages any order
+will do.  A log scan satisfies it trivially; the driver uses the freedom.
+
+:func:`recover` is the one restart path on top.  Analysis is fused with
+redo-candidate collection, each candidate filed under its page.  Redo
+then goes page by page over the dirty page list — one fetch per dirty
+page however often the log returns to it, pages the DPL does not list
+never touched — which bounds restart by the dirty pages, as sections
+2.6.1 and 2.7 do.  The part of the redo range below the analysis start
+is read with a supplementary header scan; for a failed client that scan
+reads the client's own address index
+(:meth:`ServerLogManager.scan_client_headers`, the complete form of the
+section 2.5.2 per-client ``<LSN, address>`` pairs), so client recovery
+reads that client's records and nobody else's.  Undo walks the losers'
+chains resolved through the same pairs, with the scanning
+:func:`undo_pass` as the recorded fallback.  The driver reaches pages
+only through :class:`RecoveryPageAccess` and emits log records only
+through :class:`ClrWriter` (lint rule REC060 enforces both).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from heapq import merge
 from itertools import chain
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    DefaultDict,
     Dict,
     Iterable,
     List,
@@ -90,6 +106,8 @@ HeaderItem = Tuple[LogAddr, FrameHeader]
 #: The redo kernel also takes, from a scan that decodes anyway, the
 #: page-changing record itself in place of its header.
 RedoItem = Tuple[LogAddr, Union[FrameHeader, UpdateRecord, CompensationRecord]]
+#: The driver's redo worklist: per page, its candidates in address order.
+RedoWorklist = DefaultDict[int, List[HeaderItem]]
 
 
 class RecoveryPageAccess(Protocol):
@@ -314,6 +332,9 @@ def _merge_checkpoint(result: AnalysisResult, record: EndCheckpointRecord) -> No
 class RedoStats:
     records_scanned: int = 0
     records_considered: int = 0
+    #: Page fetches: one per run of consecutive same-page items, so one
+    #: per page when the items arrive grouped by page.
+    pages_visited: int = 0
     redos_applied: int = 0
     #: Applied redos attributed to the client that wrote the record.
     applied_by_client: Dict[str, int] = field(default_factory=dict)
@@ -333,13 +354,21 @@ def redo_kernel(
     a client in ``client_filter`` and — when a ``dpl`` is given — its
     page is listed with ``RecAddr <= record address`` (the DPL-as-filter
     rule of section 1.1.2); it is applied only if ``page_LSN < record
-    LSN``.  ``items`` must ascend by address: per-page log order is
-    application order.  Without a ``dpl`` every page is a candidate and
-    the page's dirty bound is the first record applied to it.  An item
-    carries the record's peeked header — the record is then read only
-    if it is applied — or the record itself.
+    LSN``.  ``items`` must ascend by address *within a page*: per-page
+    log order is application order, and the only order ``redo_needed``
+    depends on (``check_per_page_log_order`` states the same).  Pages
+    may interleave, as in a log scan, or arrive one after another, as
+    from :func:`recover`'s worklist; the kernel holds the current page
+    across a run of same-page items, so a run costs one ``pages.fetch``
+    and — if anything applied — one ``pages.mark_dirty``.  Without a
+    ``dpl`` every page is a candidate and the page's dirty bound is the
+    first record applied to it.  An item carries the record's peeked
+    header — the record is then read only if it is applied — or the
+    record itself.
     """
     stats = RedoStats()
+    page: Optional[Page] = None  # the run in progress
+    run_dirtied = False
     for addr, header in items:
         if faults is not None:
             faults.crashpoint("recovery.redo.scan")
@@ -359,7 +388,10 @@ def redo_kernel(
                 continue
             rec_addr = known
         stats.records_considered += 1
-        page = pages.fetch(page_id)
+        if page is None or page.page_id != page_id:
+            page = pages.fetch(page_id)
+            run_dirtied = False
+            stats.pages_visited += 1
         if not redo_needed(page, header.lsn):
             continue
         record = (log.read_at(addr) if isinstance(header, FrameHeader)
@@ -369,7 +401,9 @@ def redo_kernel(
         else:
             assert isinstance(record, CompensationRecord)
             apply_clr_redo(page, record)
-        pages.mark_dirty(page_id, rec_addr)
+        if not run_dirtied:
+            pages.mark_dirty(page_id, rec_addr)
+            run_dirtied = True
         stats.redos_applied += 1
         stats.applied_by_client[header.client_id] = (
             stats.applied_by_client.get(header.client_id, 0) + 1
@@ -727,14 +761,17 @@ def _analysis_phase(
 
 
 def _redo_phase(ctx: RecoveryContext, analysis: AnalysisResult,
-                candidates: List[HeaderItem]) -> RedoStats:
-    """Redo over the fused candidates plus what analysis did not scan.
+                fused: RedoWorklist) -> RedoStats:
+    """Redo page by page: what analysis collected plus what it did not scan.
 
-    ``candidates`` already cover ``[analysis_scan_start, end_addr)``;
-    only the pre-checkpoint range ``[redo_addr, analysis_scan_start)``
-    needs a supplementary header scan.  With no fused scan (analysis
-    came from a supplier, ``candidates`` is empty) that scan covers the
-    whole redo range.
+    ``fused`` already covers ``[analysis_scan_start, end_addr)``; only
+    the pre-checkpoint range ``[redo_addr, analysis_scan_start)`` needs
+    a supplementary header scan (the whole redo range when analysis came
+    from a supplier and ``fused`` is empty).  For a failed client that
+    scan reads the client's own address index and nobody else's records.
+    The kernel is then fed one DPL page at a time in ascending page id,
+    the supplementary items of a page ahead of its fused ones, so
+    address order holds within every page and each page is fetched once.
     """
     tracer = ctx.tracer
     forwarded = ctx.pre_redo() if ctx.pre_redo is not None else 0
@@ -745,20 +782,37 @@ def _redo_phase(ctx: RecoveryContext, analysis: AnalysisResult,
     _fire_before(ctx, "redo")
     covered_from = (analysis.end_addr if ctx.analysis_scan_start is None
                     else ctx.analysis_scan_start)
+    uncovered: Iterable[HeaderItem]
+    if ctx.client_filter is None:
+        uncovered = ctx.log.scan_headers(analysis.redo_addr, covered_from)
+    else:
+        uncovered = merge(*(
+            ctx.log.scan_client_headers(client_id, analysis.redo_addr,
+                                        covered_from)
+            for client_id in sorted(ctx.client_filter)))
+    early: RedoWorklist = defaultdict(list)
+    sink = _candidate_sink(early, ctx.client_filter)
+    scanned = 0
+    for addr, header in uncovered:
+        scanned += 1
+        sink(addr, header)
     redo = redo_kernel(
         ctx.log,
-        chain(ctx.log.scan_headers(analysis.redo_addr, covered_from),
-              candidates),
+        chain.from_iterable(
+            chain(early.get(page_id, ()), fused.get(page_id, ()))
+            for page_id in sorted(analysis.dpl)),
         ctx.pages, dpl=analysis.dpl, client_filter=ctx.client_filter,
         faults=ctx.faults,
     )
-    # The analysis scan already counted the candidates as scanned.
-    redo.records_scanned -= len(candidates)
+    # The kernel counted worklist items; the pass scanned the headers
+    # analysis had not (the fused ones are on the analysis count).
+    redo.records_scanned = scanned
     redo.redos_applied += forwarded
     if tracer is not None:
         end_attrs: Dict[str, object] = {
             "records_scanned": redo.records_scanned,
             "records_considered": redo.records_considered,
+            "pages_visited": redo.pages_visited,
             "pages_redone": redo.redos_applied,
         }
         if ctx.pre_redo is not None:
@@ -840,21 +894,21 @@ def _undo_phase(ctx: RecoveryContext, losers: Dict[str, RestartTxn]
 
 
 def _candidate_sink(
-    candidates: List[HeaderItem], client_filter: Optional[Set[str]],
+    worklist: RedoWorklist, client_filter: Optional[Set[str]],
 ) -> Callable[[LogAddr, FrameHeader], None]:
-    """The analysis ``header_sink`` that collects redo candidates.
+    """The ``header_sink`` that files redo candidates under their page.
 
     A candidate is a page-bearing update or CLR of a client in the
-    filter; the DPL RecAddr test can only run once analysis has
-    finished, so the redo kernel applies it.
+    filter.  Whether its page is in the DPL, and from which RecAddr, is
+    known only once analysis has finished: the redo phase drops the
+    pages the DPL does not list, and the kernel applies the RecAddr test.
     """
-    collect = candidates.append
 
     def sink(addr: LogAddr, header: FrameHeader) -> None:
         if (header.is_redoable() and header.page_id >= 0
                 and (client_filter is None
                      or header.client_id in client_filter)):
-            collect((addr, header))
+            worklist[header.page_id].append((addr, header))
 
     return sink
 
@@ -862,16 +916,16 @@ def _candidate_sink(
 def recover(ctx: RecoveryContext) -> RecoveryResult:
     """The one restart path: fused analysis, redo, chain-walk undo.
 
-    The analysis scan hands every redo candidate it passes to the redo
-    kernel, so the redo range is not scanned a second time; undo visits
-    only the records on the losers' chains, and falls back to the
-    scanning :func:`undo_pass` (recorded in ``fallback``) when a chain
-    LSN is missing from the ``<LSN, address>`` pairs.
+    The analysis scan files every redo candidate it passes under its
+    page, so the redo range is not scanned a second time and redo loads
+    each dirty page once; undo visits only the records on the losers'
+    chains, and falls back to the scanning :func:`undo_pass` (recorded
+    in ``fallback``) when a chain LSN is missing from the ``<LSN,
+    address>`` pairs.
     """
-    candidates: List[HeaderItem] = []
-    analysis = _analysis_phase(
-        ctx, _candidate_sink(candidates, ctx.client_filter))
-    redo = _redo_phase(ctx, analysis, candidates)
+    fused: RedoWorklist = defaultdict(list)
+    analysis = _analysis_phase(ctx, _candidate_sink(fused, ctx.client_filter))
+    redo = _redo_phase(ctx, analysis, fused)
     losers = analysis.losers()
     if ctx.loser_filter is not None:
         losers = ctx.loser_filter(losers)

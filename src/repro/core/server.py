@@ -736,9 +736,14 @@ class Server:
         return out
 
     def _search_log_for(self, client_id: str, lsn: LSN) -> LogAddr:
-        """Last-resort backward search for a record by (client, LSN)."""
-        for addr, header in self.log.scan_headers_backward():
-            if header.client_id == client_id and header.lsn == lsn:
+        """Last-resort backward search for a record by (client, LSN).
+
+        Newest first over the client's own records: a reconnected client
+        reuses LSNs, and the record meant is the latest to carry it.
+        """
+        for addr, header in self.log.scan_client_headers(
+                client_id, newest_first=True):
+            if header.lsn == lsn:
                 return addr
         raise RecoveryError(
             f"log record with LSN {lsn} from {client_id} not found in server log"
@@ -1329,8 +1334,9 @@ class Server:
         Section 2.6.1: per prepared branch, the lock list logged in its
         Prepare record plus the LSN chain state the client needs to
         later roll the branch back if the coordinator says abort.  One
-        backward scan finds the Prepare records and stops at the last
-        one; with nothing prepared the log is not touched.  Client
+        backward walk over the client's own records finds the Prepare
+        records and stops at the last one; with nothing prepared the log
+        is not touched.  Client
         recovery hands the branches over in log order, newest Prepare
         first; restart in transaction-table order.
         """
@@ -1341,7 +1347,8 @@ class Server:
         if not prepared:
             return
         locks: Dict[str, Tuple] = {}
-        for addr, header in self.log.scan_headers_backward():
+        for addr, header in self.log.scan_client_headers(
+                client_id, newest_first=True):
             txn_id = header.txn_id
             if (header.type_tag == "PRE" and txn_id is not None
                     and txn_id in prepared and txn_id not in locks):
@@ -1695,7 +1702,7 @@ class Server:
     def truncate_log(self, respect_archive: bool = True) -> int:
         """Discard the reclaimable log prefix; returns records dropped."""
         point = self.compute_truncation_point(respect_archive)
-        return self.log.stable.truncate_prefix(max(point, 0))
+        return self.log.truncate_prefix(max(point, 0))
 
     # ------------------------------------------------------------------
     # Archive (media recovery support)

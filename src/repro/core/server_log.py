@@ -6,6 +6,12 @@ mappings section 2.5.2 calls for:
 * per client, a set of ``<LSN, address>`` pairs built as records arrive,
   used to map a client-reported RecLSN to an exact (or conservatively
   lower) RecAddr;
+* per client, the address of *every* record filed under its identity —
+  the complete form of the same pairs, keyed by address so a client
+  that reconnects and restarts its LSN stream loses nothing.  Log
+  records carry the client's identity precisely so one client's records
+  can be read apart from everyone else's (section 2.6.1);
+  :meth:`ServerLogManager.scan_client_headers` is that read;
 * per client, the address of the most recent record received — the
   conservative ForceAddr assigned to dirty pages arriving from that
   client (section 2.2);
@@ -21,7 +27,16 @@ to conservative bounds supplied by the caller.
 from __future__ import annotations
 
 import bisect
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.log_records import FrameHeader, LogRecord
 from repro.core.lsn import LSN, LogAddr, LsnClock, NULL_ADDR
@@ -170,6 +185,10 @@ class ServerLogManager:
         #: Per client: parallel sorted lists of LSNs and their addresses.
         self._pair_lsns: Dict[str, List[LSN]] = {}
         self._pair_addrs: Dict[str, List[LogAddr]] = {}
+        #: Per client: ascending addresses of every record carrying its
+        #: ``client_id``, whoever wrote it (the server's CLRs in a failed
+        #: client's name included).
+        self._client_addrs: Dict[str, List[LogAddr]] = {}
         self._last_addr_from: Dict[str, LogAddr] = {}
         self.client_records_received = 0
 
@@ -190,6 +209,7 @@ class ServerLogManager:
         self.clock.observe_lsn(record.lsn)
         addr = self.stable.append(record)
         self._note_pair(record.client_id, record.lsn, addr)
+        self._note_client_addr(record.client_id, addr)
         return addr
 
     def append_from_client(self, client_id: str,
@@ -199,6 +219,7 @@ class ServerLogManager:
         for record in records:
             addr = self.stable.append(record)
             self._note_pair(client_id, record.lsn, addr)
+            self._note_client_addr(record.client_id, addr)
             self._last_addr_from[client_id] = addr
             self.clock.observe_lsn(record.lsn)
             assigned.append((record.lsn, addr))
@@ -215,10 +236,28 @@ class ServerLogManager:
         lsns.append(lsn)
         addrs.append(addr)
 
+    def _note_client_addr(self, client_id: str, addr: LogAddr) -> None:
+        """File ``addr`` in the client's address index, keeping it sorted.
+
+        Appends arrive in address order, so the load path pays one
+        comparison and one list append.  Restart is the exception: the
+        survivors' lost tail is re-appended *before* the rebuild scan
+        walks the log from its start (and re-visits that tail), so an
+        address at or below the newest one is slotted in, once.
+        """
+        addrs = self._client_addrs.setdefault(client_id, [])
+        if not addrs or addr > addrs[-1]:
+            addrs.append(addr)
+            return
+        at = bisect.bisect_left(addrs, addr)
+        if addrs[at] != addr:
+            addrs.insert(at, addr)
+
     def observe_during_restart(self, client_id: str, lsn: LSN,
                                addr: LogAddr) -> None:
         """Rebuild the pair sets while the restart analysis scans the log."""
         self._note_pair(client_id, lsn, addr)
+        self._note_client_addr(client_id, addr)
         if addr > self._last_addr_from.get(client_id, NULL_ADDR):
             self._last_addr_from[client_id] = addr
 
@@ -232,10 +271,12 @@ class ServerLogManager:
         address of the first record from this client with LSN > RecLSN;
         when only older pairs exist the result is conservatively lower.
         Returns None when nothing is known about the client's stream
-        (post-crash; the caller substitutes a conservative floor).
+        (post-crash; the caller substitutes a conservative floor).  A
+        stream whose pairs were all truncated away is still known: every
+        record it has yet to send lands at or after end-of-log.
         """
         lsns = self._pair_lsns.get(client_id)
-        if not lsns:
+        if lsns is None:
             return None
         index = bisect.bisect_right(lsns, rec_lsn)
         if index < len(lsns):
@@ -314,11 +355,57 @@ class ServerLogManager:
                               ) -> Iterator[Tuple[LogAddr, FrameHeader]]:
         return self.stable.scan_headers_backward(from_addr, down_to_addr)
 
+    def scan_client_headers(self, client_id: str, from_addr: LogAddr = 0,
+                            to_addr: Optional[LogAddr] = None,
+                            newest_first: bool = False
+                            ) -> Iterator[Tuple[LogAddr, FrameHeader]]:
+        """``scan_headers`` restricted to records carrying ``client_id``.
+
+        Yields exactly what filtering ``scan_headers(from_addr, to_addr)``
+        on ``header.client_id`` would, but visits only that client's
+        records: the address index names them, so nobody else's header
+        is peeked.  ``newest_first`` walks the same records backward.
+        """
+        addrs: Sequence[LogAddr] = self._client_addrs.get(client_id, ())
+        start = bisect.bisect_left(addrs, from_addr)
+        stop = (len(addrs) if to_addr is None
+                else bisect.bisect_left(addrs, to_addr, start))
+        header_at = self.stable.header_at
+        for at in (range(stop - 1, start - 1, -1) if newest_first
+                   else range(start, stop)):
+            addr = addrs[at]
+            yield addr, header_at(addr)
+
     def read_at(self, addr: LogAddr) -> LogRecord:
         return self.stable.read_at(addr)
 
     def header_at(self, addr: LogAddr) -> FrameHeader:
         return self.stable.header_at(addr)
+
+    # -- truncation ---------------------------------------------------------------
+
+    def truncate_prefix(self, up_to_addr: LogAddr) -> int:
+        """Discard the log below ``up_to_addr`` and every pointer into it.
+
+        A lookup can then never name a record ``header_at`` would not
+        find.  The address index is ascending, so its cut is one bisect;
+        the pair lists ascend by LSN, and only usually by address (a
+        restart files a survivor's replayed tail ahead of its older
+        records), so they are filtered.  A client whose pairs all go
+        keeps its empty lists: its stream is known, just not retained.
+        Returns the number of records discarded.
+        """
+        dropped = self.stable.truncate_prefix(up_to_addr)
+        low_water = self.stable.low_water_addr
+        for client_id, pair_addrs in self._pair_addrs.items():
+            pair_lsns = self._pair_lsns[client_id]
+            kept = [pair for pair in zip(pair_lsns, pair_addrs)
+                    if pair[1] >= low_water]
+            pair_lsns[:] = [lsn for lsn, _addr in kept]
+            pair_addrs[:] = [addr for _lsn, addr in kept]
+        for addrs in self._client_addrs.values():
+            del addrs[:bisect.bisect_left(addrs, low_water)]
+        return dropped
 
     # -- crash model --------------------------------------------------------------
 
@@ -329,4 +416,5 @@ class ServerLogManager:
         self.clock = LsnClock()
         self._pair_lsns.clear()
         self._pair_addrs.clear()
+        self._client_addrs.clear()
         self._last_addr_from.clear()

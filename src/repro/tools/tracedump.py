@@ -135,7 +135,9 @@ def recovery_timelines(events: EventStream) -> str:
     One block per ``recovery`` root span (a server restart or one failed
     client's recovery), one line per pass, with the counters the paper's
     sections 2.6-2.7 reason about — records scanned, pages redone, CLRs
-    written — and their per-client attribution.
+    written — and their per-client attribution.  The redo line also
+    carries the records it considered and the pages it fetched, so
+    records per page fetched reads straight off it.
     """
     blocks: List[str] = []
     for root in build_spans(events):
@@ -148,6 +150,7 @@ def recovery_timelines(events: EventStream) -> str:
         end = root.end_tick if root.end_tick is not None else "?"
         lines = [title, f"  ticks {root.begin_tick}..{end}"]
         header = (f"  {'pass':<10} {'ticks':<14} {'scanned':>8} "
+                  f"{'considered':>10} {'pages':>6} "
                   f"{'redone':>8} {'clrs':>6}  per-client")
         lines.append(header)
         lines.append("  " + "-" * (len(header) + 8))
@@ -160,6 +163,8 @@ def recovery_timelines(events: EventStream) -> str:
             if span is None:
                 continue
             scanned = span.end_args.get("records_scanned", 0)
+            considered = span.end_args.get("records_considered", "-")
+            pages = span.end_args.get("pages_visited", "-")
             redone = span.end_args.get("pages_redone", "-")
             clrs = span.end_args.get("clrs_written", "-")
             by_client = span.end_args.get("by_client", {})
@@ -169,6 +174,7 @@ def recovery_timelines(events: EventStream) -> str:
             ) or "-"
             ticks = f"{span.begin_tick}..{span.end_tick}"
             lines.append(f"  {name:<10} {ticks:<14} {scanned:>8} "
+                         f"{considered:>10} {pages:>6} "
                          f"{redone:>8} {clrs:>6}  {attribution}")
         total = root.end_args.get("total_records")
         if total is not None:

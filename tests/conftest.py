@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SystemConfig
+from repro.core.log_records import FrameHeader
 from repro.core.recovery import (
     RecoveryContext,
     RecoveryResult,
@@ -52,6 +53,13 @@ def make_system(client_ids=("C1", "C2"), data_pages=8, free_pages=32,
     complex_ = ClientServerSystem(config, client_ids=client_ids)
     complex_.bootstrap(data_pages=data_pages, free_pages=free_pages)
     return complex_
+
+
+def plain_headers(items) -> list:
+    """``(addr, header)`` items as comparable tuples (headers have no eq)."""
+    return [(addr, tuple(getattr(header, name)
+                         for name in FrameHeader.__slots__))
+            for addr, header in items]
 
 
 # ---------------------------------------------------------------------------

@@ -151,3 +151,25 @@ class TestTruncatedRecovery:
         system.server.truncate_log(respect_archive=False)
         client.rollback(txn)
         assert system.current_value(rids[0]) == ("init", 0)
+
+    def test_truncate_log_prunes_the_log_managers_bookkeeping(self, seeded):
+        """No pair or index entry may outlive the record it points at:
+        ``header_at`` on a truncated address raises."""
+        system, rids = seeded
+        churn(system, rids, 20)
+        churn(system, rids, 6, client_id="C2")
+        self.quiesce(system)
+        log = system.server.log
+        assert system.server.truncate_log(respect_archive=False) > 0
+        low_water = log.stable.low_water_addr
+        assert low_water > 0
+        for client_id in ("C1", "C2", "SERVER"):
+            for addr, header in log.scan_client_headers(client_id):
+                assert addr >= low_water and header.client_id == client_id
+            for lsn in range(0, int(log.max_lsn_seen) + 2):
+                mapped = log.addr_for_rec_lsn(client_id, lsn)
+                assert mapped is None or mapped >= low_water
+                exact = log.addr_of_lsn(client_id, lsn)
+                if exact is not None:
+                    assert exact >= low_water
+                    assert log.header_at(exact).lsn == lsn

@@ -11,10 +11,14 @@ Two properties over seeded crash-fuzz runs with tracing enabled:
   ``[redo_addr, end_addr)`` analysis did not already visit — so the two
   together count every record of the redo range exactly once — and the
   undo span's counts the chain records visited, not a backward scan.
+  Failed-client recovery reads that uncovered part through the client's
+  address index, so there the redo span counts the failed client's
+  records in it and nobody else's.
   Every per-client attribution map sums to its span total.
 """
 
 import random
+from itertools import islice
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -100,8 +104,18 @@ class TestTraceDeterminism:
             # not already hand it.
             redo_range = stable.records_between(
                 analysis["redo_addr"], analysis["end_addr"])
-            assert redo["records_scanned"] == max(
-                0, redo_range - analysis["records_scanned"])
+            uncovered = max(0, redo_range - analysis["records_scanned"])
+            if root.name == "client-recovery":
+                # ... and of those, only the failed client's own: the
+                # range is read through its address index.
+                failed = root.begin_args["client"]
+                headers = islice(stable.scan_headers(analysis["redo_addr"]),
+                                 uncovered)
+                uncovered = sum(1 for _addr, header in headers
+                                if header.client_id == failed)
+            assert redo["records_scanned"] == uncovered
+            assert redo["pages_visited"] <= min(
+                analysis["dpl_size"], redo["records_considered"])
 
             # Undo walks the losers' chains by address.  No loser here
             # has a partly compensated chain, so every record visited

@@ -103,6 +103,14 @@ class TestRecoveryTimeline:
                          if line.strip().startswith("undo"))
         assert "C1=" in undo_line
         assert "total log records processed:" in text
+        # The redo line names records considered and pages fetched, so
+        # records per page fetched is readable from the trace alone.
+        header = next(line for line in text.splitlines()
+                      if line.strip().startswith("pass"))
+        redo_line = next(line for line in text.splitlines()
+                         if line.strip().startswith("redo"))
+        redo = dict(zip(header.split(), redo_line.split()))
+        assert 1 <= int(redo["pages"]) <= int(redo["considered"])
 
 
 class TestCliExitCodes:
