@@ -9,7 +9,7 @@ violates the protocol, whether or not a test exercises it.
 
 Usage::
 
-    python -m repro.analysis src/repro --baseline analysis-baseline.txt
+    python -m repro.analysis src/repro
 
 See ``repro.analysis.checkers`` for the rules and DESIGN.md for the
 mapping from rule ids to paper sections.

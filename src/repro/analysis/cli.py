@@ -1,11 +1,9 @@
 """Command-line interface: ``python -m repro.analysis [paths...]``.
 
 Exit status is 0 when no non-suppressed finding exists, 1 otherwise —
-which is what the CI ``lint-protocol`` job keys off.  Suppression is
-inline-first (``# lint: allow[RULE] reason`` at the finding site); the
-``--baseline`` file remains as an explicit opt-in escape hatch for
-bulk-introducing the linter to a dirty tree, but is no longer picked
-up implicitly: the tree is expected to be clean.
+which is what the CI ``lint-protocol`` job keys off.  The only
+suppression is inline (``# lint: allow[RULE] reason`` at the finding
+site): the tree is expected to be clean.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.baseline import save_baseline
 from repro.analysis.checkers import all_rules
 from repro.analysis.reporters import render_json, render_sarif, render_text
 from repro.analysis.runner import analyze
@@ -33,13 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: src/repro)")
     parser.add_argument("--format", choices=("text", "json", "sarif"),
                         default="text")
-    parser.add_argument("--baseline", type=Path, default=None,
-                        help="baseline file of suppressed fingerprints "
-                             "(never read implicitly; a missing file is "
-                             "treated as empty with a warning)")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="write all current findings to --baseline "
-                             "and exit 0")
     parser.add_argument("--list-rules", action="store_true",
                         help="print every rule id and exit")
     return parser
@@ -57,21 +47,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: no such path: {', '.join(map(str, missing))}",
               file=sys.stderr)
         return 2
-    if args.write_baseline:
-        if args.baseline is None:
-            print("error: --write-baseline requires --baseline",
-                  file=sys.stderr)
-            return 2
-        result = analyze(paths, baseline_path=None)
-        count = save_baseline(args.baseline, result.findings)
-        print(f"wrote {count} fingerprints to {args.baseline}")
-        return 0
-    if args.baseline is not None and not args.baseline.exists():
-        # A missing baseline must not crash or mask findings: treat it
-        # as empty so every finding is new, and say so on stderr.
-        print(f"warning: baseline file {args.baseline} not found; "
-              "treating as empty", file=sys.stderr)
-    result = analyze(paths, baseline_path=args.baseline)
+    result = analyze(paths)
     renderer = {"json": render_json, "sarif": render_sarif}.get(
         args.format, render_text)
     print(renderer(result.findings, result.suppressed))

@@ -2,9 +2,9 @@
 
 A finding pins a protocol-invariant violation to a source location and
 carries everything a reviewer needs: the rule id, a one-line message,
-and a concrete fix hint.  Findings are suppressible through a baseline
-file keyed by a line-number-free fingerprint (``rule:path:qualname``)
-so that unrelated edits to a file do not invalidate the baseline.
+and a concrete fix hint.  Each finding has a line-number-free
+fingerprint (``rule:path:qualname``), which the SARIF report carries so
+that code scanning tracks a finding across unrelated edits to its file.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Line-number-free identity used by the baseline file."""
+        """Line-number-free identity (SARIF ``partialFingerprints``)."""
         return f"{self.rule_id}:{self.path}:{self.qualname}"
 
     def to_dict(self) -> Dict[str, Any]:

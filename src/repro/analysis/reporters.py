@@ -15,7 +15,7 @@ def render_text(new: List[Finding], suppressed: List[Finding]) -> str:
     if suppressed:
         lines.append(f"({len(suppressed)} finding"
                      f"{'s' if len(suppressed) != 1 else ''} suppressed by "
-                     "baseline or inline allow)")
+                     "inline allow)")
     if new:
         lines.append(f"{len(new)} protocol violation"
                      f"{'s' if len(new) != 1 else ''} found")

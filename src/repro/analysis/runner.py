@@ -1,13 +1,12 @@
 """Programmatic entry point: load sources, run checkers, apply
-inline suppressions and the (optional) baseline file."""
+inline suppressions."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.analysis.baseline import load_baseline, split_by_baseline
 from repro.analysis.checkers import all_checkers, run_checkers
 from repro.analysis.findings import Finding
 from repro.analysis.project import Project
@@ -16,8 +15,7 @@ from repro.analysis.project import Project
 @dataclass
 class AnalysisResult:
     findings: List[Finding] = field(default_factory=list)    #: actionable
-    suppressed: List[Finding] = field(default_factory=list)  #: baselined or
-    #: inline-allowed
+    suppressed: List[Finding] = field(default_factory=list)  #: inline-allowed
 
     @property
     def ok(self) -> bool:
@@ -32,10 +30,9 @@ def _split_by_allows(project: Project, findings: List[Finding],
                      ) -> Tuple[List[Finding], List[Finding]]:
     """Partition into (kept, inline-allowed).
 
-    Inline allows win over everything: a ``# lint: allow[RULE]`` on the
-    finding's line (or standing alone on the line above) suppresses it
-    before the baseline is even consulted, so a fingerprint that is both
-    inline-allowed and baselined counts once, as inline-allowed.
+    A ``# lint: allow[RULE]`` on the finding's line (or standing alone
+    on the line above) suppresses it; it is the only suppression there
+    is, so every deliberate exception is documented at its site.
     """
     by_relpath = {module.relpath: module for module in project.modules}
     kept: List[Finding] = []
@@ -50,12 +47,8 @@ def _split_by_allows(project: Project, findings: List[Finding],
     return kept, allowed
 
 
-def analyze(paths: Sequence[Path],
-            baseline_path: Optional[Path] = None) -> AnalysisResult:
+def analyze(paths: Sequence[Path]) -> AnalysisResult:
     project = Project.load([Path(p) for p in paths])
     findings = run_checkers(all_checkers(), project)
     findings, inline_allowed = _split_by_allows(project, findings)
-    baseline = load_baseline(baseline_path) if baseline_path else set()
-    new, suppressed = split_by_baseline(findings, baseline)
-    return AnalysisResult(findings=new,
-                          suppressed=sorted(suppressed + inline_allowed))
+    return AnalysisResult(findings=findings, suppressed=sorted(inline_allowed))

@@ -62,6 +62,7 @@ from repro.errors import (
     RecoveryInvariantError,
     TransactionStateError,
 )
+from repro.locking.glm import LockDenied
 from repro.locking.llm import LocalLockManager
 from repro.locking.lock_modes import LockMode
 from repro.net.messages import MsgType
@@ -218,8 +219,13 @@ class Client:
     # ------------------------------------------------------------------
 
     def _glm_request(self, resource: Any, mode: LockMode) -> LockMode:
-        return self.rpc.call("acquire_lock", MsgType.LOCK_REQUEST,
-                             payload=str(resource), args=(resource, mode))
+        reply = self.rpc.call("acquire_lock", MsgType.LOCK_REQUEST,
+                              payload=str(resource), args=(resource, mode))
+        if isinstance(reply, LockDenied):
+            # The GLM answered "wait": raised here, fresh, so the
+            # exception never outlives the requester's own unwind.
+            raise reply.error()
+        return reply
 
     def _glm_release(self, resource: Any) -> None:
         self.rpc.call("release_lock", MsgType.LOCK_RELEASE,

@@ -21,7 +21,7 @@ The server provides every service the paper assigns to it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.config import ClientRecoveryInfo, SystemConfig
 from repro.core.commit_lsn import GlobalTransactionTracker
@@ -49,7 +49,6 @@ from repro.core.recovery import (
 )
 from repro.core.server_log import ServerLogManager
 from repro.errors import (
-    LockConflictError,
     MediaFailureError,
     NodeUnavailableError,
     PageCorruptedError,
@@ -58,7 +57,7 @@ from repro.errors import (
     WALViolationError,
 )
 from repro.faults import FaultPlan, io_retry
-from repro.locking.glm import GlobalLockManager
+from repro.locking.glm import GlobalLockManager, LockDenied
 from repro.locking.lock_modes import LockMode
 from repro.net.messages import MsgType
 from repro.net.network import Network
@@ -597,53 +596,66 @@ class Server:
     # Logical locks
     # ------------------------------------------------------------------
 
-    def acquire_lock(self, client_id: str, resource: Any, mode: LockMode) -> LockMode:
+    def acquire_lock(self, client_id: str, resource: Any,
+                     mode: LockMode) -> Union[LockMode, LockDenied]:
         """GLM request from a client LLM, with cache-callback resolution.
 
-        When the only blockers are other clients' *cached* (locally idle)
-        locks, the server calls them back; each relinquishes unless a
-        local transaction still holds the resource.
+        Answers with the granted mode, or with a :class:`LockDenied`
+        reply when the requester must wait.  When the only blockers are
+        other clients' *cached* (locally idle) locks, the server calls
+        them back; each relinquishes unless a local transaction still
+        holds the resource.
         """
         self._require_up()
         self._interaction(client_id)
-        try:
-            return self.glm.acquire(client_id, resource, mode)
-        except LockConflictError as conflict:
-            memoize = not self.config.llm_cache_locks
-            if memoize:
-                # If any conflicting holder already confirmed (since its
-                # last interaction) that it still needs this resource,
-                # its hold cannot have shrunk — the retry below would
-                # fail regardless, so skip the whole callback round.
-                for holder in conflict.holders:
-                    still_needed = self._lock_needed_memo.get(holder)
-                    if still_needed is not None and resource in still_needed:
-                        self.callbacks_suppressed += 1
-                        raise
-            for holder in conflict.holders:
-                if holder not in self._clients or not self.network.is_up(holder):
-                    # A failed client's locks are released by its
-                    # recovery; until then the requester must wait.
-                    raise
-                self.callbacks_sent += 1
-                # De-escalation: the holder shrinks its cached global
-                # lock to what its local transactions still need.
-                needed = self._client_stub(holder).call(
-                    "reduce_lock", MsgType.CALLBACK,
-                    payload=str(resource), args=(resource,),
-                )
-                if needed is None:
-                    self.glm.release(holder, resource)
-                else:
-                    self.glm.downgrade(holder, resource, needed)
-                    if memoize:
-                        memo = self._lock_needed_memo.get(holder)
-                        if memo is None:
-                            memo = self._lock_needed_memo[holder] = set()
-                        memo.add(resource)
+        reply = self.glm.request(client_id, resource, mode)
+        if isinstance(reply, LockDenied) and \
+                self._call_back_holders(resource, reply.holders):
             # Retry: the conflict may persist (a local holder genuinely
-            # needs an incompatible mode), in which case it propagates.
-            return self.glm.acquire(client_id, resource, mode)
+            # needs an incompatible mode), and then this is the denial.
+            reply = self.glm.request(client_id, resource, mode)
+        return reply
+
+    def _call_back_holders(self, resource: Any,
+                           holders: Tuple[str, ...]) -> bool:
+        """One callback round over a denial's holders.
+
+        Returns False when the round is skipped or cut short because a
+        retry could not succeed.
+        """
+        memoize = not self.config.llm_cache_locks
+        if memoize:
+            # If any conflicting holder already confirmed (since its
+            # last interaction) that it still needs this resource, its
+            # hold cannot have shrunk — the retry would fail regardless,
+            # so skip the whole callback round.
+            for holder in holders:
+                still_needed = self._lock_needed_memo.get(holder)
+                if still_needed is not None and resource in still_needed:
+                    self.callbacks_suppressed += 1
+                    return False
+        for holder in holders:
+            if holder not in self._clients or not self.network.is_up(holder):
+                # A failed client's locks are released by its recovery;
+                # until then the requester must wait.
+                return False
+            self.callbacks_sent += 1
+            # De-escalation: the holder shrinks its cached global lock
+            # to what its local transactions still need.
+            needed = self._client_stub(holder).call(
+                "reduce_lock", MsgType.CALLBACK,
+                payload=str(resource), args=(resource,),
+            )
+            if needed is None:
+                self.glm.release(holder, resource)
+            else:
+                self.glm.downgrade(holder, resource, needed)
+                if memoize:
+                    memo = self._lock_needed_memo.get(holder)
+                    if memo is None:
+                        memo = self._lock_needed_memo[holder] = set()
+                    memo.add(resource)
+        return True
 
     def release_lock(self, client_id: str, resource: Any) -> None:
         self._require_up()

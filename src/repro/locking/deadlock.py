@@ -36,32 +36,38 @@ class WaitsForGraph:
         return tuple(sorted(self._edges))
 
     def find_cycle(self) -> Optional[List[str]]:
-        """Return one cycle as a node list, or None."""
-        visiting: Set[str] = set()
+        """Return one cycle as a node list, or None.
+
+        Depth-first from each waiter in sorted order, visiting targets
+        in sorted order; the first back edge found closes the cycle.
+        Iterative, with an explicit stack: no recursion limit on long
+        wait chains, and no per-call closure (a function<->cell cycle).
+        """
+        edges = self._edges
         done: Set[str] = set()
-        stack: List[str] = []
-
-        def dfs(node: str) -> Optional[List[str]]:
-            visiting.add(node)
-            stack.append(node)
-            for target in sorted(self._edges.get(node, ())):
-                if target in done:
-                    continue
-                if target in visiting:
-                    return stack[stack.index(target):]
-                found = dfs(target)
-                if found is not None:
-                    return found
-            visiting.discard(node)
-            done.add(node)
-            stack.pop()
-            return None
-
-        for start in sorted(self._edges):
-            if start not in done:
-                cycle = dfs(start)
-                if cycle is not None:
-                    return list(cycle)
+        for start in sorted(edges):
+            if start in done:
+                continue
+            # ``path`` is the DFS stack of nodes; ``pending`` holds, per
+            # node on it, the iterator over its not-yet-tried targets,
+            # which the ``for`` below resumes where it left off.
+            path = [start]
+            on_path = {start}
+            pending = [iter(sorted(edges[start]))]
+            while pending:
+                for target in pending[-1]:
+                    if target in done:
+                        continue
+                    if target in on_path:
+                        return path[path.index(target):]
+                    path.append(target)
+                    on_path.add(target)
+                    pending.append(iter(sorted(edges.get(target, ()))))
+                    break
+                else:
+                    on_path.discard(path[-1])
+                    done.add(path.pop())
+                    pending.pop()
         return None
 
     def choose_victim(self, cycle: List[str],

@@ -13,19 +13,46 @@ Two tables (section 2.1):
 The P-lock entries also hold the per-page ``rec_addr`` used by the
 section 2.6.2 variant, where the server keeps failed-client recovery
 bounds in the lock table instead of relying on client checkpoints.
+
+A logical lock request answered over RPC gets a grant or a wait, and
+both are ordinary replies: :meth:`GlobalLockManager.request` returns
+the granted mode or a :class:`LockDenied` record.  The requesting
+client turns the record back into a
+:class:`~repro.errors.LockConflictError` on its own side.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.core.lsn import LogAddr, NULL_ADDR
+from repro.errors import LockConflictError
 from repro.locking.lock_modes import LockMode
 from repro.locking.lock_table import LockTable, Resource
 
 
 def p_lock_resource(page_id: int) -> Tuple[str, int]:
     return ("P", page_id)
+
+
+class LockDenied(NamedTuple):
+    """The GLM's "wait" answer to a lock request, sent as a reply value.
+
+    It has the three fields of the :class:`LockConflictError` the lock
+    table raised. ``requested`` is the conversion target, i.e. the
+    supremum of the held and the requested mode. ``holders`` are the
+    blocking clients in acquisition order. A denial is plain data.
+    Caching it for exactly-once retries, or shipping it to a standby,
+    keeps no frame or traceback alive.
+    """
+
+    resource: Resource
+    requested: str
+    holders: Tuple[str, ...]
+
+    def error(self) -> LockConflictError:
+        """A fresh exception for the requester to raise."""
+        return LockConflictError(self.resource, self.requested, self.holders)
 
 
 class GlobalLockManager:
@@ -39,6 +66,15 @@ class GlobalLockManager:
 
     def acquire(self, client_id: str, resource: Resource, mode: LockMode) -> LockMode:
         return self.logical.acquire(client_id, resource, mode)
+
+    def request(self, client_id: str, resource: Resource,
+                mode: LockMode) -> Union[LockMode, LockDenied]:
+        """:meth:`acquire`, with a conflict answered as a reply value."""
+        try:
+            return self.acquire(client_id, resource, mode)
+        except LockConflictError as conflict:
+            return LockDenied(conflict.resource, conflict.requested,
+                              conflict.holders)
 
     def release(self, client_id: str, resource: Resource) -> None:
         self.logical.release(client_id, resource)

@@ -257,11 +257,17 @@ class RpcDispatcher:
             response = Response(envelope.request_id, True,
                                 handler(envelope.src, *envelope.args))
         except ReproError as exc:
-            # Domain errors are part of the protocol (lock conflicts,
-            # state errors): they travel back as a failed response and
-            # are deduplicated like any other outcome.  Non-ReproError
-            # exceptions are bugs and propagate raw.
-            response = Response(envelope.request_id, False, error=exc)
+            # Domain errors are part of the protocol (state errors,
+            # unavailable peers): they travel back as a failed response
+            # and are deduplicated like any other outcome.  Cached as
+            # data, without the traceback: that would keep the handler's
+            # frames alive while the entry is cached, and this very frame
+            # (which holds ``response``) in a reference cycle.  A lock
+            # wait is not an error at all here — the GLM answers it with
+            # a ``LockDenied`` reply.  Non-ReproError exceptions are bugs
+            # and propagate raw.
+            response = Response(envelope.request_id, False,
+                                error=exc.with_traceback(None))
         self._completed[key] = response
         if self.completed_tap is not None:
             self.completed_tap.append((key, response))
@@ -413,10 +419,18 @@ class RpcStub:
             epoch=network.epoch_for(self.src),
         )
         response = self._exchange(envelope)
-        if not response.ok:
-            assert response.error is not None
-            raise response.error
-        return response.result
+        if response.ok:
+            return response.result
+        error = response.error
+        assert error is not None
+        del response
+        try:
+            raise error
+        finally:
+            # The traceback holds this frame; the frame must not hold
+            # the error back (concurrent.futures' idiom), or the two
+            # form a cycle only the collector can free.
+            del error
 
     def call_batch(self, calls: Sequence[BatchCall]) -> List[Any]:
         """Dispatch several calls on this edge as one batched exchange.
@@ -461,8 +475,13 @@ class RpcStub:
                 network.stats.note_retry(policy.backoff(0))
                 response = self._exchange(sub, attempt=1)
             if not response.ok:
-                assert response.error is not None
-                raise response.error
+                error = response.error
+                assert error is not None
+                del response
+                try:
+                    raise error
+                finally:
+                    del error  # no frame<->exception cycle, as in call()
             results.append(response.result)
         return results
 

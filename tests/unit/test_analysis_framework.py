@@ -1,4 +1,4 @@
-"""Framework tests: finding model, baseline round-trip, reporters, CLI,
+"""Framework tests: finding model, inline suppression, reporters, CLI,
 and the self-check that the repo's own tree is protocol-clean."""
 
 from __future__ import annotations
@@ -8,9 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.analysis.baseline import (
-    load_baseline, save_baseline, split_by_baseline,
-)
+import pytest
+
 from repro.analysis.checkers import all_rules
 from repro.analysis.cli import main as cli_main
 from repro.analysis.findings import Finding
@@ -38,33 +37,6 @@ def test_finding_to_dict_roundtrips_through_json():
     data = json.loads(json.dumps(_finding().to_dict()))
     assert data["rule"] == "REC001"
     assert data["fingerprint"] == "REC001:core/x.py:C.f"
-
-
-# -- baseline ----------------------------------------------------------------
-
-def test_baseline_round_trip(tmp_path):
-    path = tmp_path / "baseline.txt"
-    findings = [_finding(), _finding(rule="DET002", qualname="C.g", line=3)]
-    count = save_baseline(path, findings)
-    assert count == 2
-    loaded = load_baseline(path)
-    assert loaded == {f.fingerprint for f in findings}
-    # Comments and blank lines are ignored on load.
-    assert any(line.startswith("#")
-               for line in path.read_text().splitlines())
-
-
-def test_baseline_suppresses_by_fingerprint_not_line(tmp_path):
-    path = tmp_path / "baseline.txt"
-    save_baseline(path, [_finding(line=10)])
-    moved = _finding(line=500)  # same defect, file edited above it
-    new, suppressed = split_by_baseline([moved], load_baseline(path))
-    assert new == []
-    assert suppressed == [moved]
-
-
-def test_missing_baseline_is_empty(tmp_path):
-    assert load_baseline(tmp_path / "nope.txt") == set()
 
 
 # -- reporters ---------------------------------------------------------------
@@ -129,16 +101,6 @@ def test_cli_missing_path_exits_2(capsys):
     assert cli_main(["definitely/not/a/path.py"]) == 2
 
 
-def test_cli_write_baseline_then_clean(tmp_path, capsys):
-    baseline = tmp_path / "b.txt"
-    bad = str(FIXTURES / "wal_bad.py")
-    assert cli_main([bad, "--baseline", str(baseline),
-                     "--write-baseline"]) == 0
-    assert cli_main([bad, "--baseline", str(baseline)]) == 0
-    out = capsys.readouterr().out
-    assert "suppressed" in out
-
-
 def test_cli_json_format(capsys):
     assert cli_main([str(FIXTURES / "wal_bad.py"), "--format", "json"]) == 1
     data = json.loads(capsys.readouterr().out)
@@ -152,52 +114,25 @@ def test_cli_sarif_format(capsys):
     assert data["runs"][0]["results"]
 
 
-def test_cli_missing_baseline_warns_instead_of_crashing(tmp_path, capsys):
-    missing = tmp_path / "does-not-exist.txt"
-    exit_code = cli_main([str(FIXTURES / "wal_bad.py"),
-                          "--baseline", str(missing)])
-    captured = capsys.readouterr()
-    assert exit_code == 1  # findings still count; the run is not dead
-    assert "warning" in captured.err
-    assert str(missing) in captured.err
+def test_cli_clean_on_good_tree(capsys):
+    assert cli_main([str(FIXTURES / "wal_good.py")]) == 0
+    assert "no new protocol violations" in capsys.readouterr().out
 
 
-def test_cli_missing_baseline_still_clean_on_good_tree(tmp_path, capsys):
-    missing = tmp_path / "does-not-exist.txt"
-    exit_code = cli_main([str(FIXTURES / "wal_good.py"),
-                          "--baseline", str(missing)])
-    assert exit_code == 0
-    assert "warning" in capsys.readouterr().err
+@pytest.mark.parametrize("flag", ["--baseline=b.txt", "--write-baseline"])
+def test_cli_has_no_baseline_flags(flag, capsys):
+    """Inline allows are the only suppression; the flags are gone."""
+    with pytest.raises(SystemExit) as info:
+        cli_main([str(FIXTURES / "wal_bad.py"), flag])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_write_baseline_creates_missing_parent_dirs(tmp_path, capsys):
-    nested = tmp_path / "a" / "b" / "baseline.txt"
-    assert cli_main([str(FIXTURES / "wal_bad.py"), "--baseline", str(nested),
-                     "--write-baseline"]) == 0
-    assert nested.exists()
-    assert cli_main([str(FIXTURES / "wal_bad.py"),
-                     "--baseline", str(nested)]) == 0
+# -- inline suppression ------------------------------------------------------
 
-
-def test_baseline_save_load_save_identity(tmp_path):
-    findings = [_finding(), _finding(rule="DET002", qualname="C.g")]
-    first, second = tmp_path / "one.txt", tmp_path / "two.txt"
-    save_baseline(first, findings)
-    loaded = load_baseline(first)
-    save_baseline(second, [_finding(rule=f.split(":")[0],
-                                    path=f.split(":")[1],
-                                    qualname=f.split(":")[2])
-                           for f in sorted(loaded)])
-    assert load_baseline(second) == loaded
-
-
-# -- inline suppression precedence -------------------------------------------
-
-def test_inline_allow_beats_baseline(tmp_path):
-    """A finding that is both inline-allowed and baselined is suppressed
-    exactly once — the inline allow claims it before the baseline is
-    consulted, so burning down a baseline never resurfaces allowed
-    sites."""
+def test_inline_allow_suppresses_finding(tmp_path):
+    """An allow on the line above the finding claims it: the finding is
+    reported as suppressed, not dropped, and the run is clean."""
     source = tmp_path / "funnel.py"
     source.write_text(
         "class M:\n"
@@ -208,26 +143,19 @@ def test_inline_allow_beats_baseline(tmp_path):
         "        self.disk.write_page(bcb.page)\n",
         encoding="utf-8",
     )
-    result = analyze([source], baseline_path=None)
+    result = analyze([source])
     assert result.findings == []
-    assert [f.rule_id for f in result.suppressed] == ["REC002"]
-
-    baseline = tmp_path / "baseline.txt"
-    save_baseline(baseline, result.suppressed)
-    result = analyze([source], baseline_path=baseline)
-    assert result.findings == []
+    assert result.exit_code == 0
     assert [f.rule_id for f in result.suppressed] == ["REC002"]
 
 
 # -- the repo's own tree -----------------------------------------------------
 
 def test_repo_tree_is_protocol_clean():
-    """`python -m repro.analysis src/repro` must pass on this tree,
-    with no baseline file at all — every deliberate exception is an
-    inline ``# lint: allow[...]`` at its site."""
-    assert not (REPO_ROOT / "analysis-baseline.txt").exists(), \
-        "the bootstrap baseline was burned down; keep it that way"
-    result = analyze([REPO_ROOT / "src" / "repro"], baseline_path=None)
+    """`python -m repro.analysis src/repro` must pass on this tree:
+    every deliberate exception is an inline ``# lint: allow[...]`` at
+    its site."""
+    result = analyze([REPO_ROOT / "src" / "repro"])
     assert result.findings == [], "\n".join(
         f.render() for f in result.findings)
     # Inline allows cover exactly: the offline-bootstrap format and its

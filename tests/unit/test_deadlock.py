@@ -37,6 +37,29 @@ class TestCycles:
         graph.add_wait("B", ["A"])
         assert set(graph.find_cycle()) == {"A", "B"}
 
+    def test_first_cycle_in_sorted_visit_order(self):
+        """Waiters and targets are visited in sorted order, and the cycle
+        runs from the back edge's target along the DFS path: victim
+        choice depends on exactly which cycle comes back."""
+        graph = WaitsForGraph()
+        graph.add_wait("A", ["C", "B"])
+        graph.add_wait("B", ["E", "D"])
+        graph.add_wait("D", ["F"])
+        graph.add_wait("E", ["B"])
+        graph.add_wait("C", ["A"])
+        # A -> B -> D -> F (dead end), then B -> E -> B closes first.
+        assert graph.find_cycle() == ["B", "E"]
+
+    def test_long_wait_chain(self):
+        """A chain far deeper than the recursion limit is searched."""
+        graph = WaitsForGraph()
+        names = [f"T{i:05d}" for i in range(20000)]
+        for waiter, holder in zip(names, names[1:]):
+            graph.add_wait(waiter, [holder])
+        assert graph.find_cycle() is None
+        graph.add_wait(names[-1], [names[0]])
+        assert graph.find_cycle() == names
+
 
 class TestMaintenance:
     def test_clear_waiter_breaks_cycle(self):

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.core.lsn import NULL_ADDR
+from repro.core.system import ClientServerSystem
 from repro.errors import LockConflictError
-from repro.locking.glm import GlobalLockManager, p_lock_resource
+from repro.locking.glm import GlobalLockManager, LockDenied
 from repro.locking.llm import LocalLockManager
 from repro.locking.lock_modes import LockMode
+from repro.net.rpc import DeliveryOutcome, FaultyTransport
 
 M = LockMode
 
@@ -25,6 +28,18 @@ class TestGlmLogical:
         glm.acquire("C1", ("rec", 1, 0), M.X)
         glm.acquire("C1", ("rec", 2, 0), M.S)
         assert len(glm.release_all("C1")) == 2
+
+    def test_request_answers_a_conflict_with_a_denial(self):
+        glm = GlobalLockManager()
+        assert glm.request("C1", ("rec", 1, 0), M.IX) is M.IX
+        glm.acquire("C2", ("rec", 1, 0), M.IX)
+        # C1's request converts IX + S to SIX, which C2's IX blocks.
+        denied = glm.request("C1", ("rec", 1, 0), M.S)
+        assert denied == LockDenied(("rec", 1, 0), "SIX", ("C2",))
+        error = denied.error()
+        assert isinstance(error, LockConflictError)
+        assert (error.resource, error.requested, error.holders) == denied
+        assert glm.holders(("rec", 1, 0)) == {"C1": M.IX, "C2": M.IX}
 
 
 class TestGlmPLocks:
@@ -177,3 +192,62 @@ class TestLlm:
         llm.crash()
         assert llm.global_locks_snapshot() == {}
         assert not llm.is_held("T1", ("rec", 1, 0), M.X)
+
+
+class LoseFirstLockReply(FaultyTransport):
+    """Loses the response leg of every lock request's first attempt."""
+
+    def plan(self, envelope, attempt):
+        if envelope.method == "acquire_lock" and attempt == 0:
+            self.fault_plan.note_transport_fault("drop-response")
+            return DeliveryOutcome.DROP_RESPONSE, 0.0
+        return DeliveryOutcome.DELIVER, 0.0
+
+
+class TestDenialOverRpc:
+    """A GLM wait crosses the RPC as a reply; the requesting client
+    raises the same LockConflictError a direct GLM caller would."""
+
+    R = ("rec", 1, 0)
+
+    def complex(self, **overrides):
+        system = ClientServerSystem(SystemConfig(**overrides),
+                                    client_ids=["C0", "C1"])
+        return system, system.client("C0"), system.client("C1")
+
+    def test_conflict_surviving_a_callback_round(self):
+        system, c0, c1 = self.complex(llm_cache_locks=True)
+        c0.llm.acquire("t0", self.R, M.IX)
+        c1.llm.acquire("t1", self.R, M.IX)
+        with pytest.raises(LockConflictError) as info:
+            c0.llm.acquire("t0", self.R, M.S)
+        error = info.value
+        # The callback round ran (C1 still needs its IX locally), then
+        # the retry was denied too.  The client raised the denial fresh.
+        # It does not chain the first conflict, or any server traceback.
+        assert system.server.callbacks_sent == 1
+        assert (error.resource, error.requested, error.holders) == \
+            (self.R, "SIX", ("C1",))
+        assert error.__context__ is None
+        assert error.__cause__ is None
+        assert c0.llm.global_locks_snapshot() == {self.R: M.IX}
+
+    def test_denial_replayed_from_the_dedup_cache(self):
+        system, c0, c1 = self.complex(llm_cache_locks=False)
+        c1.llm.acquire("t1", self.R, M.X)
+        system.network.transport = LoseFirstLockReply()
+        dispatcher = system.server.dispatcher
+        invoked = dispatcher.invocations["acquire_lock"]
+        suppressed = dispatcher.duplicates_suppressed
+        with pytest.raises(LockConflictError) as info:
+            c0.llm.acquire("t0", self.R, M.S)
+        error = info.value
+        assert (error.resource, error.requested, error.holders) == \
+            (self.R, "S", ("C1",))
+        # The handler ran once; the retry was answered from the cache.
+        assert dispatcher.invocations["acquire_lock"] == invoked + 1
+        assert dispatcher.duplicates_suppressed == suppressed + 1
+        assert system.network.stats.drops == 1
+        cached = [response.result for response in dispatcher._completed.values()
+                  if isinstance(response.result, LockDenied)]
+        assert cached == [LockDenied(self.R, "S", ("C1",))]

@@ -250,6 +250,46 @@ class TestExactlyOnce:
         assert server.invocations["boom"] == 1
         assert server.duplicates_suppressed == 1
 
+    def test_failed_response_is_cached_without_traceback(self):
+        """A domain error is cached and tapped as plain data: no
+        traceback pins the handler's frames while the entry lives."""
+        _, server = rpc_pair()
+        server.completed_tap = []
+        envelope = Envelope(request_id=1, src="A", dst="B",
+                            msg_type=MsgType.LOCK_REQUEST, method="boom")
+        response = server.dispatch(envelope)
+        assert not response.ok
+        assert isinstance(response.error, LockConflictError)
+        assert response.error.__traceback__ is None
+        assert server._completed[("A", 1)] is response
+        [(key, tapped)] = server.completed_tap
+        assert key == ("A", 1)
+        assert tapped.error.__traceback__ is None
+        # A retry is answered from the cache with the same bare error.
+        assert server.dispatch(envelope).error.__traceback__ is None
+        assert server.invocations["boom"] == 1
+
+    def test_stub_raise_leaves_no_frame_cycle(self):
+        """Re-raising a cached error must not tie the stub's frame to
+        the exception in a cycle: once the caller and the cache drop it,
+        reference counting frees it, with the collector off."""
+        import gc
+        import weakref
+
+        net, server = rpc_pair()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with pytest.raises(LockConflictError) as info:
+                net.stub("A", "B").call("boom", MsgType.LOCK_REQUEST)
+            error = weakref.ref(info.value)
+            del info
+            server._completed.clear()
+            assert error() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
     def test_timeout_escalates_to_unavailable(self):
         net, server = rpc_pair(
             transport=ScriptedTransport(*[DeliveryOutcome.DROP_REQUEST] * 100),
