@@ -1391,6 +1391,7 @@ class Server:
         reconnect beyond in-doubt lock reacquisition.
         """
         self._require_up()
+        self.dispatcher.forget(client_id)
         tracer = self.tracer
         root_span = 0
         if tracer is not None:

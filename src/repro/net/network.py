@@ -309,14 +309,14 @@ class Network:
         if not self.is_up(envelope.dst):
             raise NodeUnavailableError(envelope.dst)
         if self.tracer is None:
-            return self._deliver(envelope, attempt)
+            return self._deliver(envelope, attempt, envelope.request_id)
         span_id = self.tracer.begin(
             "rpc", envelope.method, envelope.src, dst=envelope.dst,
             msg_type=envelope.msg_type.value,
             request_id=envelope.request_id, attempt=attempt,
         )
         try:
-            response = self._deliver(envelope, attempt)
+            response = self._deliver(envelope, attempt, envelope.request_id)
         except MessageDroppedError as exc:
             self._end_rpc_span(span_id, f"drop-{exc.leg}")
             raise
@@ -332,7 +332,7 @@ class Network:
         Availability is checked once for the whole batch — one edge,
         one exchange — and each sub-envelope then travels the normal
         delivery path: its own transport plan, its own rpc span, its
-        own request-leg charge, and individual dispatcher dedup.
+        own request-leg charge, and dedup under the batch id as floor.
         Counters and fault behavior are therefore identical to N
         individual calls; only the caller-side per-call overhead is
         amortized.  A sub-exchange that lost a leg yields ``None`` in
@@ -346,7 +346,7 @@ class Network:
         for sub in batch.calls:
             if self.tracer is None:
                 try:
-                    responses.append(self._deliver(sub, 0))
+                    responses.append(self._deliver(sub, 0, batch.request_id))
                 except MessageDroppedError:
                     responses.append(None)
                 continue
@@ -357,7 +357,8 @@ class Network:
                 batch_id=batch.request_id,
             )
             try:
-                response: Optional[Response] = self._deliver(sub, 0)
+                response: Optional[Response] = self._deliver(
+                    sub, 0, batch.request_id)
             except MessageDroppedError as exc:
                 self._end_rpc_span(span_id, f"drop-{exc.leg}")
                 response = None
@@ -379,7 +380,8 @@ class Network:
         else:
             self.tracer.end(span_id, outcome=outcome)
 
-    def _deliver(self, envelope: Envelope, attempt: int) -> Response:
+    def _deliver(self, envelope: Envelope, attempt: int,
+                 floor: int) -> Response:
         if envelope.epoch < self.cluster_epoch and envelope.src in self._fenced:
             # The destination rejects the fenced sender before the
             # handler runs: no charge, no dispatch, no retry — the
@@ -410,12 +412,12 @@ class Network:
             self.stats.note_drop()
             raise MessageDroppedError(envelope, "request")
         # The request reached the destination: charge its leg and run
-        # the handler (dedup inside the dispatcher keeps retried
-        # requests exactly-once).
+        # the handler (the sender's reply slot keeps retried requests
+        # exactly-once; ``floor`` is the exchange's first request id).
         if envelope.charge:
             self.stats.record(envelope.src, envelope.dst,
                               envelope.msg_type, size)
-        response = self.dispatcher(envelope.dst).dispatch(envelope)
+        response = self.dispatcher(envelope.dst).dispatch(envelope, floor)
         if outcome is DeliveryOutcome.DROP_RESPONSE:
             self.stats.note_drop()
             raise MessageDroppedError(envelope, "response")

@@ -51,10 +51,11 @@ from __future__ import annotations
 
 import enum
 import random
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set,
+    Tuple,
 )
 
 from repro.errors import NodeUnavailableError, ReproError
@@ -165,9 +166,9 @@ class BatchEnvelope:
     Batching amortizes the per-exchange caller overhead (stub lookup,
     availability checks, the retry-loop frame) over every call on the
     same edge; the *accounting* is deliberately not amortized.  Each
-    sub-envelope keeps its own request id, flows through the
-    destination dispatcher's ``(sender, request_id)`` dedup cache
-    individually, is charged as its own request leg, and gets its own
+    sub-envelope keeps its own request id, is deduplicated in the
+    sender's reply slot with the batch id as floor (so siblings never
+    evict each other), is charged as its own request leg, and gets its own
     rpc span — so traffic counters, exactly-once semantics, and traces
     are bit-for-bit what N individual calls would have produced.  The
     batch wrapper itself is free: it models call coalescing, not a new
@@ -197,58 +198,59 @@ Handler = Callable[..., Any]
 class RpcDispatcher:
     """One node's dispatch table, with exactly-once request execution.
 
-    Completed responses are cached by ``(sender, request_id)`` so a
-    retried request — sent again because the *response* was lost — is
-    answered from the cache instead of re-executing the handler.  The
-    cache is bounded; entries old enough to be evicted can no longer be
-    retried (the stub's retry budget is far smaller than the cache).
+    Responses are kept in one *reply slot per sender*, keyed by request
+    id, so a retried request — sent again because the *response* was
+    lost — is answered from the slot instead of re-executing the
+    handler.  Exchanges are synchronous, so a sender's next exchange
+    acknowledges all of its earlier ones: :meth:`dispatch` takes the
+    exchange's *floor*, its first request id (the batch id for a
+    batch's sub-calls, the envelope's own id otherwise), and drops the
+    sender's entries below it.  A sub-call retried after the rest of
+    its batch ran, and an outer request still in its handler while the
+    same sender runs a nested exchange (whose ids are higher), both
+    stay answerable.  The table is bounded by the number of senders,
+    not by history.
     """
 
-    def __init__(self, node_id: str, cache_size: int = 4096) -> None:
+    def __init__(self, node_id: str) -> None:
         self.node_id = node_id
         self._handlers: Dict[str, Handler] = {}
-        self._completed: "OrderedDict[Tuple[str, int], Response]" = OrderedDict()
-        self._cache_size = cache_size
+        #: Sender -> its reply slot (request id -> response).
+        self.slots: Dict[str, Dict[int, Response]] = {}
         #: Handler executions by method name (the exactly-once witness:
         #: compare against distinct request ids in tests).
         self.invocations: Counter = Counter()
-        #: Retried requests answered from the completed-response cache.
+        #: Retried requests answered from a reply slot.
         self.duplicates_suppressed = 0
-        #: Attached by the replication manager; when set, every newly
-        #: completed ``(key, response)`` is also appended here so the
-        #: dedup state can ride the ship stream to a standby.  ``None``
-        #: (the default) keeps the single-node path allocation-free.
-        self.completed_tap: Optional[List[Tuple[Tuple[str, int], Response]]] = None
+        #: Attached by the replication manager: senders whose slot
+        #: changed since the last ship, so their slot snapshot rides the
+        #: next batch to the standby.  ``None`` (the default) keeps the
+        #: single-node path free of the bookkeeping.
+        self.changed: Optional[Set[str]] = None
 
     def register(self, method: str, handler: Handler) -> None:
         self._handlers[method] = handler
 
-    def install_completed(
-            self, entries: List[Tuple[Tuple[str, int], Response]]) -> None:
-        """Install shipped dedup entries (standby side of the stream).
-
-        A client whose commit acknowledgement was lost retries the same
-        envelope; if a failover happened in between, the retry lands on
-        the promoted standby's dispatcher.  Without the primary's dedup
-        state the handler would re-execute — double-appending the
-        already-shipped commit batch.  Installing the shipped entries
-        makes the retry hit the completed-response cache instead,
-        preserving exactly-once across the failover boundary.
-        """
-        for key, response in entries:
-            self._completed[key] = response
-        while len(self._completed) > self._cache_size:
-            self._completed.popitem(last=False)
+    def forget(self, sender: str) -> None:
+        """Drop a failed sender's slot: its retries died with it."""
+        self.slots.pop(sender, None)
+        if self.changed is not None:
+            self.changed.add(sender)
 
     def methods(self) -> Tuple[str, ...]:
         return tuple(sorted(self._handlers))
 
-    def dispatch(self, envelope: Envelope) -> Response:
-        key = (envelope.src, envelope.request_id)
-        cached = self._completed.get(key)
-        if cached is not None:
-            self.duplicates_suppressed += 1
-            return cached
+    def dispatch(self, envelope: Envelope, floor: int) -> Response:
+        slot = self.slots.get(envelope.src)
+        if slot is None:
+            slot = self.slots[envelope.src] = {}
+        else:
+            for request_id in [rid for rid in slot if rid < floor]:
+                del slot[request_id]
+            cached = slot.get(envelope.request_id)
+            if cached is not None:
+                self.duplicates_suppressed += 1
+                return cached
         handler = self._handlers.get(envelope.method)
         if handler is None:
             raise UnknownRpcMethodError(self.node_id, envelope.method)
@@ -268,11 +270,9 @@ class RpcDispatcher:
             # and propagate raw.
             response = Response(envelope.request_id, False,
                                 error=exc.with_traceback(None))
-        self._completed[key] = response
-        if self.completed_tap is not None:
-            self.completed_tap.append((key, response))
-        while len(self._completed) > self._cache_size:
-            self._completed.popitem(last=False)
+        slot[envelope.request_id] = response
+        if self.changed is not None:
+            self.changed.add(envelope.src)
         return response
 
 
@@ -440,8 +440,8 @@ class RpcStub:
         :meth:`Network.call_batch` so every sub-call is planned,
         traced, charged, and deduplicated exactly like an individual
         :meth:`call`.  A sub-call whose leg was lost is retried here,
-        alone, with its original envelope (same request id — the dedup
-        cache makes the retry exactly-once).
+        alone, with its original envelope (same request id — the reply
+        slot makes the retry exactly-once).
 
         Results come back in call order.  Sub-calls are *dispatched* in
         order too, so a failed response raises its domain error after

@@ -35,18 +35,13 @@ and redo applicability makes re-applied pages a no-op.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Any, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.lsn import LogAddr
 from repro.core.server import RecoveryReport, Server
 from repro.errors import NodeUnavailableError, ReplicationError
 from repro.net.messages import MsgType
-from repro.net.rpc import (
-    Envelope,
-    MessageDroppedError,
-    Response,
-    StaleEpochError,
-)
+from repro.net.rpc import Envelope, MessageDroppedError, StaleEpochError
 from repro.replication.standby import StandbyServer
 from repro.replication.stream import ShipBatch
 
@@ -93,11 +88,8 @@ class ReplicationManager:
         #: The promotion restart's RecoveryReport (benchmarks read it).
         self.last_promotion_report: Optional[RecoveryReport] = None
 
-        #: Dispatcher tap: completed responses accumulate here between
-        #: ships, then ride the next batch to the standby.
-        self._dedup_tap: List[Tuple[Tuple[str, int], Response]] = []
         self.primary.replication = self
-        self.primary.dispatcher.completed_tap = self._dedup_tap
+        self.primary.dispatcher.changed = set()
         self.primary.dispatcher.register("replication_heartbeat",
                                          lambda sender: True)
         self.standby = StandbyServer(self)
@@ -132,7 +124,8 @@ class ReplicationManager:
         (``ClientServerSystem.bootstrap`` formats pages without logging,
         so the page snapshot must be retaken).  The replica log opens at
         the primary's low-water mark; everything stable above it ships
-        immediately.
+        immediately, with every sender's reply slot: the fresh replica
+        holds no dedup state.
         """
         primary = self.primary
         base = primary.log.stable.low_water_addr
@@ -141,6 +134,7 @@ class ReplicationManager:
         self.standby.install_bootstrap(base, pages,
                                        primary.master_snapshot())
         self.ship_hw = base
+        primary.dispatcher.changed.update(primary.dispatcher.slots)
         self.ship()
         return base
 
@@ -179,19 +173,21 @@ class ReplicationManager:
                 pass
 
     def ship(self) -> LogAddr:
-        """Ship the stable unshipped tail (plus dedup soft state) now."""
+        """Ship the stable unshipped tail (plus changed reply slots) now."""
         if self.state != "follower":
             return self.ship_hw
         primary = self.primary
         target = primary.log.flushed_addr
         frames = tuple(primary.log.scan(self.ship_hw, target))
-        if not frames and not self._dedup_tap:
+        changed = primary.dispatcher.changed
+        if not frames and not changed:
             return self.ship_hw
         faults = self.faults
         if faults is not None:
             faults.crashpoint("replication.ship.before_send", self.tracer)
-        dedup = tuple(self._dedup_tap)
-        del self._dedup_tap[:]
+        slots = primary.dispatcher.slots
+        dedup = {sender: dict(slots.get(sender, {})) for sender in changed}
+        changed.clear()
         batch = ShipBatch(
             start_addr=self.ship_hw, end_addr=target, frames=frames,
             master=primary.master_snapshot(), dedup=dedup,
@@ -201,11 +197,9 @@ class ReplicationManager:
             ack = stub.call("replicate_batch", MsgType.LOG_SHIP,
                             payload=batch.frames, args=(batch,))
         except BaseException:
-            # The entries may never have reached the standby; requeue
-            # them ahead of anything tapped meanwhile so order is
-            # preserved (a duplicate re-ship is harmless — same key,
-            # same response).
-            self._dedup_tap[:0] = list(dedup)
+            # The snapshots may never have reached the standby: the next
+            # ship sends those senders' slots again, as they are then.
+            changed.update(dedup)
             raise
         self.ship_hw = ack
         self.frames_shipped += len(frames)
@@ -302,7 +296,7 @@ class ReplicationManager:
            *current* epoch, which would unfence the old primary);
         2. append the promotion checkpoint to the replica log;
         3. build a fresh :class:`Server` on the standby's node id,
-           adopt the replicas, install the shipped dedup entries,
+           adopt the replicas, install the shipped reply slots,
            repoint every client;
         4. restart over the replica: survivors replay against the ship
            high-water (not the replica's flushed address, which the
@@ -348,7 +342,7 @@ class ReplicationManager:
             self.standby.master,
         )
         new_server.tracker.table_resolver = old.tracker.table_resolver
-        new_server.dispatcher.install_completed(self.standby.shipped_dedup())
+        new_server.dispatcher.slots.update(self.standby.shipped_dedup())
         new_server.dispatcher.register("replication_heartbeat",
                                        lambda sender: True)
         system = self.system
@@ -373,7 +367,7 @@ class ReplicationManager:
         self.promoted = new_server
         self.last_promotion_report = report
         old.replication = None
-        old.dispatcher.completed_tap = None
+        old.dispatcher.changed = None
         if tracer is not None:
             tracer.end(span, records=report.total_log_records_processed)
         return report

@@ -18,7 +18,7 @@ replicas and the bookkeeping to promote them:
 Durability model: the forced log prefix, the disk images, and the
 ``master`` dict (the stable master record's replica, including the
 standby-private ``standby_ship_hw`` / ``standby_applied_addr`` keys and
-the shipped dedup entries) survive a standby crash; everything else is
+the shipped reply slots) survive a standby crash; everything else is
 rebuilt by :meth:`StandbyServer.recover` from a single replica-log scan.
 
 Every durable write funnels through the apply-seam methods
@@ -30,7 +30,7 @@ replica silently diverges from its primary.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.core.commit_lsn import GlobalTransactionTracker
 from repro.core.log_records import (
@@ -76,7 +76,7 @@ class StandbyServer:
         self.tracker = GlobalTransactionTracker()
         #: Master-record replica; refreshed by every batch, plus the
         #: standby-private keys (ship high-water, applied boundary,
-        #: shipped dedup entries) that make :meth:`recover` possible.
+        #: shipped reply slots) that make :meth:`recover` possible.
         self.master: Dict[str, Any] = {
             "server_ckpt_begin_addr": NULL_ADDR,
             "client_ckpts": {},
@@ -89,10 +89,10 @@ class StandbyServer:
         #: Page id -> address of its first unapplied redoable record:
         #: the promotion checkpoint's dirty page list.
         self._unapplied: Dict[int, LogAddr] = {}
-        #: Shipped dedup entries, accumulated for the promoted server's
-        #: dispatcher.  Durable alongside the master (the simulation's
-        #: stand-in for persisting them with the ship stream).
-        self._dedup: List[Tuple[Tuple[str, int], Response]] = []
+        #: Sender -> reply slot, as last shipped, for the promoted
+        #: server's dispatcher.  Durable alongside the master (the
+        #: simulation's stand-in for persisting it with the ship stream).
+        self._dedup: Dict[str, Dict[int, Response]] = {}
         self.crashed = False
         self.network.register(self.node_id)
         self.dispatcher = RpcDispatcher(self.node_id)
@@ -134,7 +134,7 @@ class StandbyServer:
             self._install_page(page)
         self.tracker = GlobalTransactionTracker()
         self._unapplied = {}
-        self._dedup = []
+        self._dedup = {}
         self.applied_addr = base_addr
         fresh = dict(master)
         fresh["client_ckpts"] = dict(master["client_ckpts"])
@@ -172,7 +172,9 @@ class StandbyServer:
             self._append_frame(addr, record)
         self.log.force()
         self._install_master(batch.master)
-        self._dedup.extend(batch.dedup)
+        self._dedup.update(batch.dedup)
+        for sender in [s for s, slot in batch.dedup.items() if not slot]:
+            del self._dedup[sender]
         if faults is not None:
             faults.crashpoint("replication.ship.before_ack", self.tracer)
         self._maybe_apply()
@@ -211,9 +213,9 @@ class StandbyServer:
         fresh["standby_ship_hw"] = self.log.flushed_addr
         self.master = fresh
 
-    def shipped_dedup(self) -> List[Tuple[Tuple[str, int], Response]]:
-        """The accumulated dedup entries, for the promoted dispatcher."""
-        return list(self._dedup)
+    def shipped_dedup(self) -> Dict[str, Dict[int, Response]]:
+        """A copy of the shipped reply slots, for the promoted dispatcher."""
+        return {sender: dict(slot) for sender, slot in self._dedup.items()}
 
     @property
     def ship_high_water(self) -> LogAddr:

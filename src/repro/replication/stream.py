@@ -13,10 +13,10 @@ The batch also piggybacks two pieces of soft state:
 
 * the primary's **master record** snapshot, so a promoted standby can
   start analysis from the last coordinated checkpoint it shipped;
-* the primary dispatcher's freshly **completed-response entries**, so a
-  client whose acknowledgement was lost can retry the same envelope
-  against the promoted standby without re-executing the handler
-  (exactly-once across the failover boundary).
+* a snapshot of every primary **reply slot** that changed since the
+  last ship, so a client whose acknowledgement was lost can retry the
+  same envelope against the promoted standby without re-executing the
+  handler (exactly-once across the failover boundary).
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ class ShipBatch:
     frames: Tuple[Tuple[LogAddr, LogRecord], ...]
     #: Snapshot of the primary's master record (checkpoint anchors).
     master: Dict[str, Any]
-    #: Completed-response entries drained from the primary dispatcher's
-    #: tap: ``((sender, request_id), response)`` pairs.
-    dedup: Tuple[Tuple[Tuple[str, int], Any], ...]
+    #: Changed reply slots, snapshotted: ``sender -> {request_id:
+    #: response}``; an empty slot means the sender has none any more.
+    dedup: Dict[str, Dict[int, Any]]
 
     @property
     def record_count(self) -> int:

@@ -39,9 +39,9 @@ def test_contended_engine_run_leaves_no_cyclic_garbage():
         for wave in waves:
             committed += Engine(system).run(
                 wave, max_rounds=1_000_000).committed
-        # Evict the server's exactly-once cache, as a longer run would
-        # entry by entry: what it kept alive is freed now or is garbage.
-        system.server.dispatcher._completed.clear()
+        # Drop the server's reply slots, as each client's next exchange
+        # would: what they kept alive is freed now or is garbage.
+        system.server.dispatcher.slots.clear()
         gc.collect()
         garbage = Counter(type(obj).__name__ for obj in gc.garbage)
     finally:

@@ -248,6 +248,7 @@ class TestDenialOverRpc:
         assert dispatcher.invocations["acquire_lock"] == invoked + 1
         assert dispatcher.duplicates_suppressed == suppressed + 1
         assert system.network.stats.drops == 1
-        cached = [response.result for response in dispatcher._completed.values()
+        cached = [response.result for slot in dispatcher.slots.values()
+                  for response in slot.values()
                   if isinstance(response.result, LockDenied)]
         assert cached == [LockDenied(self.R, "S", ("C1",))]

@@ -7,6 +7,7 @@ from repro.errors import LockConflictError, NodeUnavailableError
 from repro.net.messages import MESSAGE_OVERHEAD, MsgType, payload_size
 from repro.net.network import Network
 from repro.net.rpc import (
+    BatchCall,
     DeliveryOutcome,
     Envelope,
     FaultyTransport,
@@ -251,22 +252,21 @@ class TestExactlyOnce:
         assert server.duplicates_suppressed == 1
 
     def test_failed_response_is_cached_without_traceback(self):
-        """A domain error is cached and tapped as plain data: no
-        traceback pins the handler's frames while the entry lives."""
+        """A domain error is cached, and marked for shipping, as plain
+        data: no traceback pins the handler's frames while it lives."""
         _, server = rpc_pair()
-        server.completed_tap = []
+        server.changed = set()
         envelope = Envelope(request_id=1, src="A", dst="B",
                             msg_type=MsgType.LOCK_REQUEST, method="boom")
-        response = server.dispatch(envelope)
+        response = server.dispatch(envelope, 1)
         assert not response.ok
         assert isinstance(response.error, LockConflictError)
         assert response.error.__traceback__ is None
-        assert server._completed[("A", 1)] is response
-        [(key, tapped)] = server.completed_tap
-        assert key == ("A", 1)
-        assert tapped.error.__traceback__ is None
+        # The slot entry is what a ship snapshots for the standby.
+        assert server.slots == {"A": {1: response}}
+        assert server.changed == {"A"}
         # A retry is answered from the cache with the same bare error.
-        assert server.dispatch(envelope).error.__traceback__ is None
+        assert server.dispatch(envelope, 1).error.__traceback__ is None
         assert server.invocations["boom"] == 1
 
     def test_stub_raise_leaves_no_frame_cycle(self):
@@ -284,7 +284,7 @@ class TestExactlyOnce:
                 net.stub("A", "B").call("boom", MsgType.LOCK_REQUEST)
             error = weakref.ref(info.value)
             del info
-            server._completed.clear()
+            server.slots.clear()
             assert error() is None
         finally:
             if was_enabled:
@@ -303,18 +303,72 @@ class TestExactlyOnce:
         # Simulated waiting: 4 timeouts of 10 + backoffs 1 + 2 + 4.
         assert net.stats.delay_total == pytest.approx(47.0)
 
-    def test_dedup_cache_is_bounded(self):
-        dispatcher = RpcDispatcher("B", cache_size=2)
+
+
+class TestReplySlots:
+    """One reply slot per sender, truncated at each exchange's floor."""
+
+    @staticmethod
+    def send(dispatcher, src, request_id):
+        return dispatcher.dispatch(
+            Envelope(request_id=request_id, src=src, dst="B",
+                     msg_type=MsgType.ACK, method="f"), request_id)
+
+    def test_new_exchange_evicts_the_senders_older_replies(self):
+        dispatcher = RpcDispatcher("B")
         dispatcher.register("f", lambda sender: "ok")
         for request_id in range(1, 5):
-            dispatcher.dispatch(Envelope(request_id=request_id, src="A",
-                                         dst="B", msg_type=MsgType.ACK,
-                                         method="f"))
-        assert len(dispatcher._completed) == 2
-        # The evicted request would re-execute; the cached one would not.
-        dispatcher.dispatch(Envelope(request_id=4, src="A", dst="B",
-                                     msg_type=MsgType.ACK, method="f"))
+            self.send(dispatcher, "A", request_id)
+        assert list(dispatcher.slots["A"]) == [4]
+        # The acknowledged request would re-execute; the last would not.
+        self.send(dispatcher, "A", 4)
         assert dispatcher.duplicates_suppressed == 1
+        self.send(dispatcher, "A", 3)
+        assert dispatcher.invocations["f"] == 5
+
+    def test_other_senders_slots_are_untouched(self):
+        dispatcher = RpcDispatcher("B")
+        dispatcher.register("f", lambda sender: "ok")
+        self.send(dispatcher, "A", 1)
+        self.send(dispatcher, "C", 2)
+        self.send(dispatcher, "A", 3)
+        assert {src: list(slot) for src, slot in dispatcher.slots.items()} \
+            == {"A": [3], "C": [2]}
+        self.send(dispatcher, "C", 2)
+        assert dispatcher.duplicates_suppressed == 1
+        assert dispatcher.invocations["f"] == 3
+
+    def test_batch_sub_call_retried_after_its_siblings_ran(self):
+        """The batch id is every sub-call's floor, so sub-calls 2 and 3
+        do not evict sub-call 1, whose response leg was lost."""
+        net, server = rpc_pair(
+            transport=ScriptedTransport(DeliveryOutcome.DROP_RESPONSE))
+        calls = []
+        server.register("append",
+                        lambda sender, v: calls.append(v) or len(calls))
+        results = net.stub("A", "B").call_batch(
+            [BatchCall("append", MsgType.LOG_SHIP, args=(v,))
+             for v in ("r1", "r2", "r3")])
+        assert results == [1, 2, 3]
+        assert calls == ["r1", "r2", "r3"]
+        assert server.invocations["append"] == 3
+        assert server.duplicates_suppressed == 1
+        assert net.stats.retries == 1
+
+    def test_nested_exchange_keeps_the_outer_reply(self):
+        """A's outer request is still in its handler when A starts a
+        nested exchange; the nested one's higher floor cannot evict a
+        reply not yet stored, and the outer retry hits the slot."""
+        net, server = rpc_pair(
+            transport=ScriptedTransport(DeliveryOutcome.DROP_RESPONSE))
+        stub = net.stub("A", "B")
+        server.register("outer", lambda sender: stub.call(
+            "echo", MsgType.ACK, args=("inner",)))
+        assert stub.call("outer", MsgType.ACK) == ("A", "inner")
+        assert server.invocations["outer"] == 1
+        assert server.invocations["echo"] == 1
+        assert server.duplicates_suppressed == 1
+        assert sorted(server.slots["A"]) == [1, 2]
 
 
 class TestTransports:

@@ -71,7 +71,7 @@ class TestShipStream:
         frames = tuple(system.server.log.scan(0, rep.ship_hw))
         batch = ShipBatch(start_addr=0, end_addr=rep.ship_hw,
                           frames=frames,
-                          master=system.server.master_snapshot(), dedup=())
+                          master=system.server.master_snapshot(), dedup={})
         ack = standby.receive_batch(system.server.node_id, batch)
         assert ack == end_before
         assert standby.log.end_of_log_addr == end_before
@@ -86,7 +86,7 @@ class TestShipStream:
             dict(system.server.log.scan(0, rep.ship_hw)).values()))),)
         batch = ShipBatch(start_addr=end + 64, end_addr=end + 128,
                           frames=frames,
-                          master=system.server.master_snapshot(), dedup=())
+                          master=system.server.master_snapshot(), dedup={})
         with pytest.raises(ReplicationError):
             standby.receive_batch(system.server.node_id, batch)
 
@@ -94,7 +94,7 @@ class TestShipStream:
         system = ClientServerSystem(SystemConfig(), client_ids=("C1",))
         assert system.replication is None
         assert system.server.replication is None
-        assert system.server.dispatcher.completed_tap is None
+        assert system.server.dispatcher.changed is None
         assert not SystemConfig().replication_enabled
 
 
@@ -137,7 +137,7 @@ class TestApply:
         with pytest.raises(NodeUnavailableError):
             standby.receive_batch(system.server.node_id, ShipBatch(
                 start_addr=0, end_addr=0, frames=(),
-                master=system.server.master_snapshot(), dedup=()))
+                master=system.server.master_snapshot(), dedup={}))
         standby.recover()
         assert dict(standby._unapplied) == unapplied_before
         committed_update(system, "v2", rid=rid)
@@ -237,9 +237,13 @@ class TestDedupAcrossFailover:
         system = replicated_system()
         rep = system.replication
         committed_update(system, "once")
+        # C1's commit reply is stored after its handler shipped, so it
+        # rides the next ship: C2's commit.
+        committed_update(system, "other", client_id="C2")
         shipped = rep.standby.shipped_dedup()
-        assert shipped, "commit produced no completed-response entries"
-        (src, request_id), cached = shipped[-1]
+        assert shipped.get("C1"), "commit produced no reply-slot entries"
+        src = "C1"
+        request_id, cached = max(shipped[src].items())
         system.crash_server()
         promoted = rep.run_failover()
         end_before = promoted.log.end_of_log_addr
@@ -263,14 +267,41 @@ class TestDedupAcrossFailover:
         rep = system.replication
         committed_update(system, "a")
         committed_update(system, "b", client_id="C2")
-        # An exchange's dedup entry is tapped after its handler returns,
-        # so the trailing entry rides the NEXT batch; a dedup-only ship
-        # drains it (and a re-executed trailing force is idempotent).
+        # An exchange's reply is stored after its handler returns, so
+        # the trailing slot change rides the NEXT batch; a dedup-only
+        # ship sends it (and a re-executed trailing force is idempotent).
         rep.ship()
-        shipped_keys = {key for key, _ in rep.standby.shipped_dedup()}
-        primary_keys = set(system.server.dispatcher._completed)
-        assert shipped_keys == primary_keys
-        assert rep._dedup_tap == []
+        assert rep.standby.shipped_dedup() == system.server.dispatcher.slots
+        assert system.server.dispatcher.changed == set()
+
+    def test_retry_after_rebootstrap_is_answered_from_shipped_cache(self):
+        """Re-seeding the standby (``system.bootstrap`` does) must ship
+        the primary's whole slot table, not only the slots changed since
+        the last ship: otherwise C1's retried last request (shipped with
+        C2's commit, before the re-seed) re-executes on the promoted
+        standby."""
+        system = replicated_system(message_trace_depth=256)
+        rep = system.replication
+        committed_update(system, "once")
+        committed_update(system, "other", client_id="C2")
+        last = [entry for entry in system.network.stats.trace
+                if entry.src == "C1" and entry.dst == system.server.node_id]
+        last = last[-1]
+        rep.bootstrap_standby()
+        system.crash_server()
+        promoted = rep.run_failover()
+        end_before = promoted.log.end_of_log_addr
+        suppressed_before = promoted.dispatcher.duplicates_suppressed
+        # No args: a re-execution would fail loudly, not pass silently.
+        retry = Envelope(
+            request_id=last.request_id, src="C1", dst=promoted.node_id,
+            msg_type=last.msg_type, method=last.method,
+            epoch=system.network.epoch_for("C1"))
+        response = system.network.call(retry)
+        assert response.ok
+        assert promoted.dispatcher.duplicates_suppressed == \
+            suppressed_before + 1
+        assert promoted.log.end_of_log_addr == end_before
 
 
 # -- manager wiring -----------------------------------------------------------
@@ -282,7 +313,7 @@ class TestWiring:
         assert isinstance(manager, ReplicationManager)
         assert system.replication is manager
         assert system.server.replication is manager
-        assert system.server.dispatcher.completed_tap is manager._dedup_tap
+        assert system.server.dispatcher.changed == set()
 
     def test_bootstrap_reseeds_the_standby(self):
         system = ClientServerSystem(
