@@ -71,10 +71,13 @@ def build_records(count):
 
 
 def build_log(records):
+    """A cold log, as at restart: forced, crashed, so no record object
+    survives in memory and every scan decodes its frames from bytes."""
     log = StableLog()
     for record in records:
         log.append(record)
     log.force()
+    log.crash()
     return log
 
 

@@ -121,6 +121,7 @@ class _BaselineLog(StableLog):
         self._buf += _FRAME_LEN.pack(len(frame))
         self._buf += frame
         self._index.append(addr)
+        self._remember(addr, record)
         self.appends += 1
         self.bytes_appended += len(frame) + FRAME_OVERHEAD
         if self.tracer is not None:

@@ -51,6 +51,7 @@ class _BaselineLog(StableLog):
         self._buf += _FRAME_LEN.pack(len(frame))
         self._buf += frame
         self._index.append(addr)
+        self._remember(addr, record)
         self.appends += 1
         self.bytes_appended += len(frame) + FRAME_OVERHEAD
         return addr

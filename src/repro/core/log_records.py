@@ -43,6 +43,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, Optional, Tuple, Type
 
 from repro.core import codec
@@ -128,6 +129,15 @@ class LogRecord:
     def is_redoable(self) -> bool:
         """True for records that change a page image (update or CLR)."""
         return isinstance(self, (UpdateRecord, CompensationRecord))
+
+    @cached_property
+    def _frame(self) -> bytes:
+        """The encoded frame, memoized: a record is immutable, so wire
+        sizing and every log that appends it share one encoding.
+        ``cached_property`` writes the instance ``__dict__`` directly,
+        past the frozen ``__setattr__``; ``dataclasses.replace`` builds
+        a fresh instance, which encodes afresh."""
+        return _encode_frame(self)
 
 
 @dataclass(frozen=True)
@@ -248,7 +258,16 @@ _TAG_BY_TYPE = {cls: tag for tag, cls in _TYPE_TAGS.items()}
 
 
 def encode_record(record: LogRecord) -> bytes:
-    """Serialize a log record to bytes (the stable log stores these)."""
+    """Serialize a log record to bytes (the stable log stores these).
+
+    Encodes on the first call per record object; later calls return the
+    same bytes.
+    """
+    return record._frame
+
+
+def _encode_frame(record: LogRecord) -> bytes:
+    """The encoder proper, run at most once per record object."""
     header = (
         _TAG_BY_TYPE[type(record)],
         record.lsn,
@@ -295,8 +314,17 @@ def encode_record(record: LogRecord) -> bytes:
 
 
 def decode_record(data: bytes) -> LogRecord:
-    """Deserialize bytes produced by :func:`encode_record`."""
-    fields = codec.decode(data)
+    """Deserialize bytes produced by :func:`encode_record`.
+
+    The record's frame memo is seeded with ``data``, so re-encoding a
+    decoded record (shipping it, appending it to a replica) is free.
+    """
+    record = _decode_fields(codec.decode(data))
+    record.__dict__["_frame"] = data
+    return record
+
+
+def _decode_fields(fields: Tuple) -> LogRecord:
     tag, lsn, client_id, txn_id, prev_lsn = fields[:5]
     cls = _TYPE_TAGS.get(tag)
     if cls is None:

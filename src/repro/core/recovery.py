@@ -134,9 +134,10 @@ class ReplayPages:
     """RecoveryPageAccess over images the caller holds and installs itself.
 
     Single-page repair hands in the one image it is rebuilding; standby
-    apply hands in a ``load`` that reads its page replica, memoised here
-    so each page is read once per apply round.  Both own their dirty
-    tracking, so :meth:`mark_dirty` has nothing to do.
+    apply hands in a ``load`` that returns its held replica images, and
+    :attr:`pages` collects the pages one apply round touched, which the
+    standby then writes.  Both own their dirty tracking, so
+    :meth:`mark_dirty` has nothing to do.
     """
 
     def __init__(self, pages: Dict[int, Page],

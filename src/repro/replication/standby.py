@@ -19,7 +19,9 @@ Durability model: the forced log prefix, the disk images, and the
 ``master`` dict (the stable master record's replica, including the
 standby-private ``standby_ship_hw`` / ``standby_applied_addr`` keys and
 the shipped reply slots) survive a standby crash; everything else is
-rebuilt by :meth:`StandbyServer.recover` from a single replica-log scan.
+rebuilt by :meth:`StandbyServer.recover` from a single replica-log scan,
+except the decoded page images, which the apply loop re-reads from the
+page replica as it touches them.
 
 Every durable write funnels through the apply-seam methods
 (:meth:`_append_frame`, :meth:`_append_checkpoint`,
@@ -89,6 +91,10 @@ class StandbyServer:
         #: Page id -> address of its first unapplied redoable record:
         #: the promotion checkpoint's dirty page list.
         self._unapplied: Dict[int, LogAddr] = {}
+        #: Page id -> decoded image of every page the apply loop has
+        #: loaded, equal to the replica disk after each round, so a page
+        #: is read from that disk only on first touch.  Volatile.
+        self._pages: Dict[int, Page] = {}
         #: Sender -> reply slot, as last shipped, for the promoted
         #: server's dispatcher.  Durable alongside the master (the
         #: simulation's stand-in for persisting it with the ship stream).
@@ -134,6 +140,7 @@ class StandbyServer:
             self._install_page(page)
         self.tracker = GlobalTransactionTracker()
         self._unapplied = {}
+        self._pages = {}
         self._dedup = {}
         self.applied_addr = base_addr
         fresh = dict(master)
@@ -233,46 +240,51 @@ class StandbyServer:
         if pending >= interval:
             self.apply_tail()
 
-    def apply_tail(self, up_to: Optional[LogAddr] = None) -> int:
+    def apply_tail(self) -> int:
         """Redo the shipped tail into the page replica; returns redo count.
 
         Standard ARIES redo applicability: a record applies iff the
         page's page_LSN is below the record's LSN, so re-applying after
         a crash (``applied_addr`` restored from the master, some pages
-        already written) is idempotent.  Pages missing from the replica
+        already written) or after a failed round is idempotent.  Every
+        page the round touches is written to the replica disk before
+        the applied boundary moves.  Pages missing from the replica
         materialize as empty frames — their format records initialize
         them, exactly as in restart redo.
         """
-        target = self.log.flushed_addr if up_to is None else up_to
+        target = self.log.flushed_addr
         if target <= self.applied_addr:
             return 0
         faults = self.faults
         if faults is not None:
             faults.crashpoint("replication.apply.before_redo", self.tracer)
-        # The shipped tail is update-dense, so decoding each frame once
-        # beats peeking its header and decoding it again to apply it.
+        # The shipped tail was just appended, so the log hands back the
+        # record objects themselves: no header peek, no decode.
         tail = ((addr, record)
                 for addr, record in self.log.scan(self.applied_addr, target)
                 if isinstance(record, (UpdateRecord, CompensationRecord)))
-        replica = ReplayPages({}, load=self._fetch_page)
+        replica = ReplayPages({}, load=self._load_page)
         applied = redo_kernel(self.log, tail, replica).redos_applied
         for page_id in sorted(replica.pages):
             self._install_page(replica.pages[page_id])
         self.applied_addr = target
-        self._unapplied = {
-            page_id: first_addr
-            for page_id, first_addr in self._unapplied.items()
-            if first_addr >= target
-        }
+        # Every observed record lies below the flushed address: all of
+        # them are applied now.
+        self._unapplied.clear()
         self.master["standby_applied_addr"] = target
         self.manager.note_applied(applied)
         return applied
 
-    def _fetch_page(self, page_id: int) -> Page:
-        try:
-            return self.disk.read_page(page_id)
-        except PageNotFoundError:
-            return Page(page_id, PageKind.FREE, self.config.page_size)
+    def _load_page(self, page_id: int) -> Page:
+        """A held image, else the replica disk's (first touch)."""
+        page = self._pages.get(page_id)
+        if page is None:
+            try:
+                page = self.disk.read_page(page_id)
+            except PageNotFoundError:
+                page = Page(page_id, PageKind.FREE, self.config.page_size)
+            self._pages[page_id] = page
+        return page
 
     def _install_page(self, page: Page) -> None:  # lint: allow[WAL100,REC030,REC040] replica install: applies only the forced ship prefix
         """Apply seam: one page image into the page replica.
@@ -347,6 +359,7 @@ class StandbyServer:
         self.log.crash()
         self.tracker.clear()
         self._unapplied.clear()
+        self._pages.clear()
         self.crashed = True
 
     def recover(self) -> None:

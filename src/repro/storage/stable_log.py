@@ -23,12 +23,14 @@ appends are O(1) buffer extends and address arithmetic is byte-exact.
 A sorted frame-start index supports O(log n) address lookup; counting
 (``records_between``) and truncation are index slices — no decoding.
 
-Scanning decodes records on demand from their stored bytes, so recovery
-reads exactly what survived, byte for byte.  The header-only variants
-(``scan_headers`` / ``scan_headers_backward``) peek each frame's header
-fields in place — no slicing, no record allocation — which is what lets
-the recovery passes filter before they materialize; a small LRU of
-decoded records keeps the undo/redo overlap cheap.
+A small LRU of record objects keyed by address holds every record just
+appended and every record decoded since: reading back the recent tail
+(shipping it to a standby, applying it there) costs no decode.  A crash
+or truncation empties it, so recovery decodes exactly what survived,
+byte for byte.  The header-only variants (``scan_headers`` /
+``scan_headers_backward``) peek each frame's header fields in place —
+no slicing, no record allocation — which is what lets the recovery
+passes filter before they materialize.
 """
 
 from __future__ import annotations
@@ -62,8 +64,9 @@ _FRAME_LEN = struct.Struct(">Q")
 class StableLog:
     """Append-only log with force semantics and crash truncation."""
 
-    #: Full-decode LRU capacity: sized for the undo/redo overlap of one
-    #: restart (losers' tails), not for whole-log caching.
+    #: Record LRU capacity: sized for the unshipped and unapplied tail
+    #: between two ships and for the undo/redo overlap of one restart
+    #: (losers' tails), not for whole-log caching.
     DECODE_CACHE_SIZE = 256
 
     def __init__(self) -> None:
@@ -76,7 +79,7 @@ class StableLog:
         self._base: LogAddr = 0
         #: Exclusive upper bound of the stable prefix, as a byte address.
         self._flushed_addr: LogAddr = 0
-        #: LRU of fully decoded records keyed by address.
+        #: LRU of appended or decoded records keyed by address.
         self._decoded: "OrderedDict[LogAddr, LogRecord]" = OrderedDict()
         #: Attached by the owning complex; ``None`` disables the hooks.
         self.tracer: Optional["Tracer"] = None
@@ -122,6 +125,7 @@ class StableLog:
         self._buf += _FRAME_LEN.pack(len(frame))
         self._buf += frame
         self._index.append(addr)
+        self._remember(addr, record)
         self.appends += 1
         self.bytes_appended += len(frame) + FRAME_OVERHEAD
         if self.tracer is not None:
@@ -195,10 +199,13 @@ class StableLog:
             return cached
         record = decode_record(self._frame_bytes(index))
         self.full_decodes += 1
+        self._remember(addr, record)
+        return record
+
+    def _remember(self, addr: LogAddr, record: LogRecord) -> None:
         self._decoded[addr] = record
         if len(self._decoded) > self.DECODE_CACHE_SIZE:
             self._decoded.popitem(last=False)
-        return record
 
     # -- reading -----------------------------------------------------------
 

@@ -3,7 +3,8 @@
 Covers the ship stream's byte-exact address parity, re-ship
 idempotency, the standby apply loop, the seeded heartbeat failure
 detector, promotion (including crash-retry), epoch fencing of the old
-primary, and the regression for request dedup across the failover
+primary, replica coherence (log bytes, held page images, a failed apply
+round), and the regression for request dedup across the failover
 boundary (a retried envelope answered from the shipped cache instead of
 double-executing on the promoted standby).
 """
@@ -12,7 +13,13 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.core.system import ClientServerSystem
-from repro.errors import NodeUnavailableError, ReplicationError
+from repro.errors import (
+    NodeUnavailableError,
+    ReplicationError,
+    TransientIOError,
+)
+from repro.faults import FaultPlan
+from repro.harness.oracle import CommittedStateOracle, verify_durability
 from repro.net.messages import MsgType
 from repro.net.rpc import Envelope, StaleEpochError
 from repro.records.heap import decode_value
@@ -145,6 +152,141 @@ class TestApply:
         standby.apply_tail()
         page = standby.disk.read_page(rid.page_id)
         assert decode_value(page.read_record(rid.slot)) == "v2"
+
+
+# -- replica coherence --------------------------------------------------------
+
+def log_bytes(stable, lo, hi):
+    """The stored frames of ``stable`` over addresses ``[lo, hi)``."""
+    return bytes(stable._buf[lo - stable._base:hi - stable._base])
+
+
+def assert_held_pages_on_disk(standby):
+    """Every image the apply loop holds is the replica disk's image."""
+    for page_id, page in standby._pages.items():
+        assert page.to_bytes() == standby.disk._images[page_id], page_id
+
+
+def check_after_each_round(standby):
+    """Shadow ``apply_tail`` so every round ends in the held-page check."""
+    apply_tail = standby.apply_tail
+    rounds = []
+
+    def checked():
+        applied = apply_tail()
+        assert_held_pages_on_disk(standby)
+        rounds.append(applied)
+        return applied
+
+    standby.apply_tail = checked
+    return rounds
+
+
+class FailOneWrite(FaultPlan):
+    """A transient ``disk.write`` error on the ``nth`` write only."""
+
+    def __init__(self, nth):
+        super().__init__()
+        self.nth = nth
+
+    def maybe_io_error(self, what, key):
+        self.nth -= 1
+        if self.nth == 0:
+            self.faults_injected += 1
+            raise TransientIOError(what, 1)
+
+
+def seeded_rows(system, oracle):
+    """One committed row per table page, inserted by C1."""
+    client = system.client("C1")
+    txn = client.begin()
+    rids = [client.insert(txn, page_id, ("row", page_id))
+            for page_id in system.table_pages("t")]
+    client.commit(txn)
+    for rid in rids:
+        oracle.note_committed_insert(rid, ("row", rid.page_id))
+    return rids
+
+
+def committed_round(system, oracle, rids, tag):
+    """Each client commits an update to every other row."""
+    for index, client_id in enumerate(("C1", "C2")):
+        client = system.client(client_id)
+        txn = client.begin()
+        mine = rids[index::2]
+        for rid in mine:
+            client.update(txn, rid, (tag, client_id))
+        client.commit(txn)
+        for rid in mine:
+            oracle.note_committed_update(rid, (tag, client_id))
+
+
+class TestReplicaCoherence:
+    def test_replica_log_bytes_and_pages_match(self):
+        system = replicated_system(apply_interval=4)
+        rep = system.replication
+        base = rep.standby.log.stable.low_water_addr
+        rounds = check_after_each_round(rep.standby)
+        oracle = CommittedStateOracle()
+        rids = seeded_rows(system, oracle)
+        for step in range(6):
+            committed_round(system, oracle, rids, f"v{step}")
+            if step % 2 == 0:
+                # C2 checkpoints with an update in flight (its records
+                # ship, and the server rewrites its End_Checkpoint), then
+                # dies; the server's CLRs for it ship too.
+                client = system.client("C2")
+                txn = client.begin()
+                client.update(txn, rids[1], ("lost", step))
+                oracle.note_uncommitted_value(rids[1], ("lost", step))
+                client.take_checkpoint()
+                system.crash_client("C2")
+                system.reconnect_client("C2")
+        assert len(rounds) > 3 and sum(rounds) > 0
+        old = system.server
+        system.crash_server()
+        rep.run_failover()
+        hw = rep.ship_hw
+        assert hw > base
+        assert log_bytes(rep.standby.log.stable, base, hw) == \
+            log_bytes(old.log.stable, base, hw)
+        shipped = [type(record).__name__
+                   for _, record in rep.standby.log.scan(base, hw)]
+        assert "CompensationRecord" in shipped
+        assert "EndCheckpointRecord" in shipped
+        verify_durability(oracle, system)
+
+    def test_transient_write_error_mid_round_then_retry(self):
+        system = replicated_system(apply_interval=10_000)
+        rep = system.replication
+        standby = rep.standby
+        oracle = CommittedStateOracle()
+        rids = seeded_rows(system, oracle)
+        committed_round(system, oracle, rids, "first")
+        standby.apply_tail()
+        assert_held_pages_on_disk(standby)
+        committed_round(system, oracle, rids, "second")
+        applied_before = standby.applied_addr
+        unapplied_before = dict(standby._unapplied)
+        plan = FailOneWrite(nth=2)
+        standby.disk.faults = plan
+        with pytest.raises(TransientIOError):
+            standby.apply_tail()
+        assert plan.faults_injected == 1
+        # The failed round moved no boundary, and a held image is ahead
+        # of its disk image until the retry writes it.
+        assert standby.applied_addr == applied_before
+        assert standby._unapplied == unapplied_before
+        with pytest.raises(AssertionError):
+            assert_held_pages_on_disk(standby)
+        standby.apply_tail()  # the retry
+        assert standby.applied_addr == standby.log.flushed_addr
+        assert_held_pages_on_disk(standby)
+        standby.disk.faults = None
+        committed_round(system, oracle, rids, "third")
+        system.crash_server()
+        rep.run_failover()
+        verify_durability(oracle, system)
 
 
 # -- failure detection and promotion ------------------------------------------

@@ -197,8 +197,9 @@ class TestDecodeCache:
         assert log.decode_cache_hits >= 1
 
     def test_cache_bounded(self, log):
-        addrs = [log.append(rec(i)) for i in range(1, 40)]
         log.DECODE_CACHE_SIZE = 8
+        addrs = [log.append(rec(i)) for i in range(1, 40)]
+        assert len(log._decoded) <= 8
         for addr in addrs:
             log.read_at(addr)
         assert len(log._decoded) <= 8
@@ -207,6 +208,33 @@ class TestDecodeCache:
         addr = log.append(rec(1))
         cached = log.read_at(addr)
         assert next(log.scan())[1] is cached
+
+    def test_appended_record_reads_back_without_decoding(self, log):
+        record = rec(1)
+        addr = log.append(record)
+        log.append(rec(2))
+        assert log.read_at(addr) is record
+        assert [r.lsn for _, r in log.scan()] == [1, 2]
+        assert next(log.scan_backward())[1].lsn == 2
+        assert log.full_decodes == 0
+
+    def test_crash_decodes_survivors_from_bytes(self, log):
+        record = rec(1)
+        addr = log.append(record)
+        log.force()
+        log.crash()
+        decoded = log.read_at(addr)
+        assert log.full_decodes == 1
+        assert decoded is not record
+        assert decoded == record
+
+    def test_truncation_forgets_appended_records(self, log):
+        log.append(rec(1))
+        addr = log.append(rec(2))
+        log.force()
+        log.truncate_prefix(addr)
+        assert log.read_at(addr).lsn == 2
+        assert log.full_decodes == 1
 
 
 class TestBoundarySemantics:
