@@ -29,11 +29,14 @@ When the ready queue drains with transactions still parked, the engine
 consults the waits-for graph: a cycle picks a victim through the shared
 :func:`choose_deadlock_victim` policy (fewest logged updates, ties
 broken by transaction id — identical to the legacy scheduler); no cycle
-triggers one *pulse* (retry every parked transaction once) to cover
-blockers that are cached-but-idle client locks rather than live
-transactions.  A pulse that executes nothing proves the blocking lock
-is held outside the schedule, which is a configuration error, exactly
-as the polling scheduler reports it.
+triggers one *pulse* that retries each *stranded* waiter once — a
+parked transaction none of whose waits-for targets is parked, whose
+blockers are finished transactions, cached-but-idle client locks or
+nodes outside the schedule.  A waiter behind a parked blocker is left
+alone: under strict 2PL the blocker keeps its locks until it
+terminates, so the retry could only park again.  A pulse that executes
+nothing proves the blocking lock is held outside the schedule, which is
+a configuration error, exactly as the polling scheduler reports it.
 
 ``rounds`` in the returned :class:`ScheduleResult` is the maximum
 number of step *attempts* any single transaction made.  For uncontended
@@ -179,15 +182,17 @@ class Engine:
         self._parked: Dict[str, ScheduledTxn] = {}
         #: Blocking node (txn id or client id) -> waiter txn ids, in
         #: park order.  Entries may be stale after a wake or a pulse;
-        #: :meth:`_wake` skips ids no longer parked.
+        #: :meth:`_wake` skips ids no longer parked, and one that has
+        #: parked again since is merely woken early.
         self._wake_index: Dict[str, List[str]] = {}
         #: Global executed-operation clock (successful ops only).
         self._tick = 0
         self._finished = 0
         #: Event count (ops + terminations) at the last pulse.  A
         #: no-cycle stall with no event since the last pulse means the
-        #: pulse re-parked everyone against blockers outside the
-        #: schedule — the genuine configuration error.  Any intervening
+        #: pulse re-parked every stranded waiter against blockers
+        #: outside the schedule — the genuine configuration error, as
+        #: everyone else waits behind them.  Any intervening
         #: event (including a victim kill, which executes no op)
         #: invalidates the mark, because handoff chains may still be
         #: draining.
@@ -331,8 +336,9 @@ class Engine:
         # wake-retry-repark rounds (each one an O(k) conflict), an
         # O(k^2) drain.  Holders complete roughly in acquisition order,
         # so the youngest is the best single predictor of "the crowd is
-        # gone"; a waiter whose chosen blocker outlives the real one is
-        # re-parked with fresh edges by the stall pulse.
+        # gone"; a waiter woken early re-parks with fresh edges, and
+        # one whose blockers all finish without waking it is stranded
+        # and retried by the next stall pulse.
         target = targets[-1]
         waiters = self._wake_index.get(target)
         if waiters is None:
@@ -350,10 +356,10 @@ class Engine:
         reader, the following run of consecutive readers too, since
         shared locks admit them together — while the rest are re-homed
         under the woken transaction's id, so its termination continues
-        the chain.  A re-homed waiter whose true blocker is someone
-        else entirely is rescued by the pulse in :meth:`_resolve_stall`
-        (stalls re-park everyone with fresh edges), so the handoff is a
-        scheduling heuristic, never a correctness assumption.
+        the chain.  A re-homed waiter whose true blockers all finish
+        is left with no waits-for edge, so the next stall finds it
+        stranded and retries it (:meth:`_resolve_stall`); the handoff
+        is a scheduling heuristic, never a correctness assumption.
         """
         waiters = self._wake_index.pop(node, None)
         if not waiters:
@@ -409,8 +415,17 @@ class Engine:
 
     def _resolve_stall(self) -> None:
         """Ready queue empty, parked transactions remain: break a
-        deadlock, or pulse-retry to cover non-transaction blockers."""
-        cycle = self.graph.find_cycle()
+        deadlock, or pulse-retry the *stranded* waiters.
+
+        A stranded waiter is one none of whose waits-for targets is
+        parked, so only a retry can tell whether it runs now.  Everyone
+        else waits behind a parked transaction, which under strict 2PL
+        gives up no lock before it terminates: a retry could only park
+        again, and the blocker's termination wakes it (or strands it
+        for the next stall) anyway.
+        """
+        graph = self.graph
+        cycle = graph.find_cycle()
         if cycle is not None:
             self._kill_victim(cycle)
             return
@@ -421,13 +436,20 @@ class Engine:
                 "a lock is held by a node outside the schedule"
             )
         self._pulse_events = events
-        # Requeue every parked transaction once, in park order; each
-        # retry either succeeds (a cached-idle peer lock was
-        # relinquishable after all) or re-parks with fresh edges.
-        parked = list(self._parked.values())
-        self._parked.clear()
-        self._wake_index.clear()
-        self._ready.extend(parked)
+        parked = self._parked
+        stranded = [
+            waiter for waiter in parked
+            if parked.keys().isdisjoint(graph.targets(waiter))
+        ]
+        # If every parked node had a parked target, following those
+        # edges would close a cycle among them, and find_cycle found none.
+        assert stranded, "a stall without a cycle has a stranded waiter"
+        # Requeue them in park order; each retry either succeeds (a
+        # cached-idle peer lock was relinquishable after all) or
+        # re-parks with fresh edges.  Their old wake-index entries stay:
+        # :meth:`_wake` skips whoever is no longer parked.
+        for waiter in stranded:
+            self._ready.append(parked.pop(waiter))
 
     def _kill_victim(self, cycle: List[str]) -> None:
         # At a stall every unfinished transaction is parked, so the

@@ -2,35 +2,67 @@
 
 The cooperative scheduler feeds lock waits into this graph: an edge
 ``waiter -> holder`` per blocking holder.  Detection is a DFS cycle
-search; the victim policy is "youngest in the cycle" (fewest completed
-operations), deterministic given the insertion order the scheduler uses.
+search; the victim policy (:meth:`WaitsForGraph.choose_victim`) is the
+cycle node with the fewest logged updates, ties broken by the smallest
+id, so the choice is deterministic for any given cycle.
+
+A reverse index (holder -> waiters) mirrors the edges, so tearing down
+a finished node costs its in-degree, not a walk over every waiter.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    AbstractSet, Callable, Dict, Iterable, List, Optional, Set, Tuple,
+)
 
 
 class WaitsForGraph:
-    """Directed graph of who waits for whom."""
+    """Directed graph of who waits for whom.
+
+    Every waiter in ``_edges`` has at least one target: a waiter whose
+    last target leaves is dropped, so it neither reports as waiting nor
+    costs :meth:`find_cycle` a visit.
+    """
 
     def __init__(self) -> None:
         self._edges: Dict[str, Set[str]] = {}
+        #: Target -> the waiters with an edge to it; the exact inverse
+        #: of ``_edges``.
+        self._waiters_of: Dict[str, Set[str]] = {}
 
     def add_wait(self, waiter: str, holders: Iterable[str]) -> None:
         targets = {holder for holder in holders if holder != waiter}
         if not targets:
             return
         self._edges.setdefault(waiter, set()).update(targets)
+        for target in targets:
+            self._waiters_of.setdefault(target, set()).add(waiter)
 
     def clear_waiter(self, waiter: str) -> None:
-        self._edges.pop(waiter, None)
+        targets = self._edges.pop(waiter, None)
+        if targets is None:
+            return
+        waiters_of = self._waiters_of
+        for target in targets:
+            waiters = waiters_of[target]
+            waiters.discard(waiter)
+            if not waiters:
+                del waiters_of[target]
 
     def remove_node(self, node: str) -> None:
         """Drop a finished/aborted participant entirely."""
-        self._edges.pop(node, None)
-        for targets in self._edges.values():
+        self.clear_waiter(node)
+        edges = self._edges
+        for waiter in self._waiters_of.pop(node, ()):
+            targets = edges[waiter]
             targets.discard(node)
+            if not targets:
+                del edges[waiter]
+
+    def targets(self, waiter: str) -> AbstractSet[str]:
+        """The nodes ``waiter`` waits for (empty when it waits for none)."""
+        return self._edges.get(waiter, frozenset())
 
     def waiters(self) -> Tuple[str, ...]:
         return tuple(sorted(self._edges))

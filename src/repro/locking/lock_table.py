@@ -5,8 +5,9 @@ the paper's "locks acquired in the name of the LLMs" optimization) and
 as each client's local lock manager (owners are transaction ids).
 
 The table grants or refuses immediately; queueing and deadlock handling
-are the cooperative scheduler's job (``repro.harness.scheduler``), which
-catches :class:`LockConflictError` and parks the requester.
+are the executor's job: the event-driven engine (``repro.engine.core``)
+catches :class:`LockConflictError` and parks the requester, as does the
+legacy polling scheduler (``repro.harness.scheduler``).
 """
 
 from __future__ import annotations

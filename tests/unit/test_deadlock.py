@@ -1,5 +1,7 @@
 """Unit tests for waits-for deadlock detection."""
 
+from hypothesis import given, strategies as st
+
 from repro.locking.deadlock import WaitsForGraph
 
 
@@ -82,6 +84,62 @@ class TestMaintenance:
         graph.add_wait("B", ["C"])
         graph.add_wait("A", ["C"])
         assert graph.waiters() == ("A", "B")
+
+    def test_waiter_whose_last_target_left_is_dropped(self):
+        graph = WaitsForGraph()
+        graph.add_wait("A", ["B"])
+        graph.add_wait("C", ["B", "D"])
+        graph.remove_node("B")
+        assert graph.waiters() == ("C",)
+        assert graph.targets("A") == set()
+        assert graph.targets("C") == {"D"}
+
+
+class EdgeWalkGraph(WaitsForGraph):
+    """The graph before the reverse index: teardown walks every
+    waiter's edge set and leaves emptied sets behind.  ``find_cycle``
+    is inherited unchanged, so it searches these edges exactly as it
+    did then."""
+
+    def add_wait(self, waiter, holders):
+        targets = {holder for holder in holders if holder != waiter}
+        if targets:
+            self._edges.setdefault(waiter, set()).update(targets)
+
+    def clear_waiter(self, waiter):
+        self._edges.pop(waiter, None)
+
+    def remove_node(self, node):
+        self._edges.pop(node, None)
+        for targets in self._edges.values():
+            targets.discard(node)
+
+
+NODES = st.sampled_from("ABCDEF")
+GRAPH_OPS = st.lists(st.one_of(
+    st.tuples(st.just("add_wait"), NODES, st.lists(NODES, max_size=3)),
+    st.tuples(st.just("clear_waiter"), NODES),
+    st.tuples(st.just("remove_node"), NODES),
+), max_size=40)
+
+
+class TestReverseIndex:
+    @given(GRAPH_OPS)
+    def test_index_inverts_edges_and_cycles_match(self, script):
+        graph, reference = WaitsForGraph(), EdgeWalkGraph()
+        for op, node, *holders in script:
+            getattr(graph, op)(node, *holders)
+            getattr(reference, op)(node, *holders)
+            inverse = {}
+            for waiter, targets in graph._edges.items():
+                assert targets, f"{waiter} kept an empty edge set"
+                for target in targets:
+                    inverse.setdefault(target, set()).add(waiter)
+            assert graph._waiters_of == inverse
+            assert graph._edges == {
+                waiter: targets
+                for waiter, targets in reference._edges.items() if targets}
+            assert graph.find_cycle() == reference.find_cycle()
 
 
 class TestVictimSelection:

@@ -110,6 +110,44 @@ class TestEngineMechanics:
                 ("C2", [("update", rids[0], "blocked"), ("commit",)]),
             ], max_rounds=50)
 
+    def test_stall_retries_only_stranded_waiters(self, sys_rids):
+        """S0 waits for a transaction outside the schedule, so nothing
+        parked blocks it: the no-cycle stall retries it.  S1 waits for
+        S0, which keeps its lock on ``b`` while parked: a retry could
+        only park again, so S1 takes no step at the stall."""
+        system, rids = sys_rids
+        a, b = rids[0], rids[1]
+        client = system.client("C1")
+        outside = client.begin()
+        client.update(outside, a, "held-outside")
+
+        class Recording(Engine):
+            def __init__(self, system):
+                super().__init__(system)
+                self.pulses = []
+
+            def _resolve_stall(self):
+                super()._resolve_stall()
+                self.pulses.append([s.name for s in self._ready])
+
+        engine = Recording(system)
+        with pytest.raises(RuntimeError, match="outside the schedule"):
+            engine.run([
+                ("C2", [("update", b, "s0"), ("update", a, "s0"),
+                        ("commit",)]),
+                ("C2", [("update", b, "s1"), ("commit",)]),
+            ], max_rounds=50)
+        assert engine.pulses == [["S0"]]
+        parked = {s.name: s for s in engine._parked.values()}
+        # S0: its update of b, the park on a, the retry at the stall.
+        # S1: the park on b only.
+        assert {name: s.steps for name, s in parked.items()} == {
+            "S0": 3, "S1": 1}
+        assert engine.graph.targets(parked["S0"].txn.txn_id) == {
+            outside.txn_id}
+        assert engine.graph.targets(parked["S1"].txn.txn_id) == {
+            parked["S0"].txn.txn_id}
+
     def test_programs_at_same_client_interleave(self, sys_rids):
         system, rids = sys_rids
         result = Engine(system).run([
