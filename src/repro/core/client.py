@@ -830,6 +830,8 @@ class Client:
             payload=(txn.txn_id, stop_lsn),
             args=(txn.txn_id, stop_lsn, txn.last_lsn, txn.undo_next_lsn),
         )
+        # The End record must sort above the CLRs the server wrote.
+        self.log.clock.observe_lsn(last_lsn)
         txn.last_lsn = last_lsn
         txn.undo_next_lsn = undo_next
         # The client's versions of the touched pages are now stale.
@@ -1099,15 +1101,18 @@ class Client:
         The server already performed recovery on this client's behalf
         (section 2.6.1), so there is nothing to replay locally; only
         in-doubt transaction information is handed over for lock
-        reacquisition.
+        reacquisition, with the server's Max_LSN: the crash reset the
+        LSN clock, and the stream must resume above every LSN filed under
+        this client's id and every Commit_LSN another client has cached.
         """
         self.network.restore(self.client_id)
         self.crashed = False
         self.server.connect_client(self)
         # Session re-establishment hand-over (uncharged, like the
         # connect itself: not part of the paper's message accounting).
-        indoubt = self.rpc.call("indoubt_info_for", MsgType.COMMIT_REQUEST,
-                                charge=False)
+        max_lsn, indoubt = self.rpc.call("indoubt_info_for",
+                                         MsgType.COMMIT_REQUEST, charge=False)
+        self.log.clock.observe_lsn(max_lsn)
         for txn_id, locks, chain in indoubt:
             txn = self.txns.begin(txn_id)
             txn.state = TxnState.PREPARED

@@ -6,7 +6,8 @@ maintain information about transactions active anywhere in the complex
 
 * **rollback service** — a client rolling back may have pruned records
   from its virtual-storage buffer; the tracker knows each live
-  transaction's (LSN, address) pairs so the server can hand records back;
+  transaction's chain state, and the server log's per-client index finds
+  the records to hand back;
 * **Commit_LSN** — the LSN of the first record of the oldest update
   transaction still executing anywhere.  Every page whose page_LSN is
   below it provably holds only committed data, so readers can skip
@@ -30,7 +31,7 @@ achievable Commit_LSN and with it the fraction of lock calls avoided.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.log_records import (
     CommitRecord,
@@ -60,14 +61,6 @@ class TrackedTransaction:
     #: so the section 2.6.2 variant can recover a failed client without
     #: any client checkpoint to analyze from.
     undo_next_lsn: LSN = NULL_LSN
-    #: (lsn, addr) of every record seen, newest last; serves rollback fetches.
-    records: List[Tuple[LSN, LogAddr]] = field(default_factory=list)
-
-    def addr_of(self, lsn: LSN) -> Optional[LogAddr]:
-        for rec_lsn, addr in reversed(self.records):
-            if rec_lsn == lsn:
-                return addr
-        return None
 
 
 class GlobalTransactionTracker:
@@ -106,7 +99,6 @@ class GlobalTransactionTracker:
             if txn.first_lsn == NULL_LSN:
                 txn.first_lsn = record.lsn
             txn.last_lsn = record.lsn
-            txn.records.append((record.lsn, addr))
             if record.page_id >= 0:
                 table = self.table_resolver(record.page_id)
                 if table is not None:
@@ -146,7 +138,6 @@ class GlobalTransactionTracker:
             if txn.first_lsn == NULL_LSN:
                 txn.first_lsn = header.lsn
             txn.last_lsn = header.lsn
-            txn.records.append((header.lsn, addr))
             if header.page_id >= 0:
                 table = self.table_resolver(header.page_id)
                 if table is not None:

@@ -43,14 +43,14 @@ page however often the log returns to it, pages the DPL does not list
 never touched — which bounds restart by the dirty pages, as sections
 2.6.1 and 2.7 do.  The part of the redo range below the analysis start
 is read with a supplementary header scan; for a failed client that scan
-reads the client's own address index
-(:meth:`ServerLogManager.scan_client_headers`, the complete form of the
-section 2.5.2 per-client ``<LSN, address>`` pairs), so client recovery
-reads that client's records and nobody else's.  Undo walks the losers'
-chains resolved through the same pairs, with the scanning
-:func:`undo_pass` as the recorded fallback.  The driver reaches pages
-only through :class:`RecoveryPageAccess` and emits log records only
-through :class:`ClrWriter` (lint rule REC060 enforces both).
+reads the client's own index (:meth:`ServerLogManager.scan_client_headers`,
+the section 2.5.2 per-client ``<LSN, address>`` pairs), so client
+recovery reads that client's records and nobody else's.  Undo walks the
+losers' chains resolved through the same index; no LSN stream filed
+under one id restarts, so a chain LSN names exactly one record.  The
+driver reaches pages only through :class:`RecoveryPageAccess` and emits
+log records only through :class:`ClrWriter` (lint rule REC060 enforces
+both).
 """
 
 from __future__ import annotations
@@ -216,9 +216,9 @@ def analysis_pass(
 
     ``client_filter`` restricts attention to the given clients' records
     (failed-client recovery).  With ``rebuild_log_bookkeeping`` the scan
-    also repopulates the server log manager's per-client LSN/address
-    pairs — used during server restart, when that volatile state was
-    lost.  ``observer`` sees every scanned record (the server uses it to
+    also rebuilds the server log manager's per-client index and clock —
+    used during server restart, when that volatile state was lost.
+    ``observer`` sees every scanned record (the server uses it to
     rebuild its global transaction tracker).  ``faults`` arms the
     per-record crashpoint that lets the explorer kill recovery itself
     mid-scan (restart must be restartable, section 2.5).  ``header_sink``
@@ -529,7 +529,8 @@ def undo_pass(
     """The paper's undo pass: the kernel over one backward log scan.
 
     LSNs are not log addresses, so this scan needs no ``<LSN, address>``
-    pairs at all — which is why it is :func:`recover`'s fallback.
+    pairs at all.  :func:`recover` walks the chains by address instead;
+    this pass is the reference the tests compare it against.
     """
     return undo_kernel(log, log.scan_headers_backward(), losers, pages,
                        clr_writer, logical_undo, faults)
@@ -639,13 +640,6 @@ class RecoveryResult:
     analysis: AnalysisResult
     redo: RedoStats
     undo: UndoStats
-    #: Why undo ran the scanning :func:`undo_pass` instead of walking
-    #: the chains, if it did.
-    fallback: Optional[str] = None
-
-
-class _ChainLookupMiss(Exception):
-    """An undo chain LSN had no known address; fall back to scanning."""
 
 
 def _fire_before(ctx: RecoveryContext, pass_name: str) -> None:
@@ -829,13 +823,13 @@ def _resolve_chains(ctx: RecoveryContext, losers: Dict[str, RestartTxn]
                     ) -> List[HeaderItem]:
     """Walk every loser's UndoNxtLSN chain via exact address lookups.
 
-    The server's per-client ``<LSN, address>`` pairs (section 2.5.2) are
-    what let undo follow a chain by address instead of scanning
+    The server's per-client ``<LSN, address>`` index (section 2.5.2) is
+    what lets undo follow a chain by address instead of scanning
     backward.  Chains are resolved per loser, then merged in descending
     address order — exactly the order the backward scan of
-    :func:`undo_pass` visits the same records.  Raises
-    :class:`_ChainLookupMiss` when an LSN has no known address or
-    resolves to another transaction's record.
+    :func:`undo_pass` visits the same records.  A chain LSN that names
+    no record, or another transaction's, breaks the prefix property or
+    the ascending LSN streams: :class:`RecoveryInvariantError`.
     """
     items: List[HeaderItem] = []
     for txn_id, txn in losers.items():
@@ -843,12 +837,10 @@ def _resolve_chains(ctx: RecoveryContext, losers: Dict[str, RestartTxn]
         while lsn != NULL_LSN:
             addr = ctx.log.addr_of_lsn(txn.client_id, lsn)
             header = ctx.log.header_at(addr) if addr is not None else None
-            if header is None or header.txn_id != txn_id:
-                # No pair, or the pair of an earlier incarnation of the
-                # client: a reconnected client restarts its LSN stream,
-                # and the pair lists keep the first record per LSN.
-                raise _ChainLookupMiss(f"{txn.client_id}:{lsn}")
-            assert addr is not None
+            if addr is None or header is None or header.txn_id != txn_id:
+                raise RecoveryInvariantError(
+                    f"undo chain of {txn_id}: no record of it has LSN "
+                    f"{lsn} under {txn.client_id}")
             items.append((addr, header))
             if header.is_clr():
                 lsn = header.undo_next_lsn
@@ -864,23 +856,16 @@ def _resolve_chains(ctx: RecoveryContext, losers: Dict[str, RestartTxn]
 
 
 def _undo_phase(ctx: RecoveryContext, losers: Dict[str, RestartTxn]
-                ) -> Tuple[UndoStats, Optional[str]]:
+                ) -> UndoStats:
     tracer = ctx.tracer
     span = 0
     if tracer is not None:
         span = tracer.begin("recovery", "undo", "server", **ctx.span_attrs,
                             losers=len(losers))
     _fire_before(ctx, "undo")
-    fallback: Optional[str] = None
-    try:
-        chain_items = _resolve_chains(ctx, losers)
-    except _ChainLookupMiss:
-        fallback = "undo-chain-lookup-miss"
-        undo = undo_pass(ctx.log, losers, ctx.pages, ctx.clr_writer,
-                         ctx.logical_undo, faults=ctx.faults)
-    else:
-        undo = undo_kernel(ctx.log, chain_items, losers, ctx.pages,
-                           ctx.clr_writer, ctx.logical_undo, ctx.faults)
+    undo = undo_kernel(ctx.log, _resolve_chains(ctx, losers), losers,
+                       ctx.pages, ctx.clr_writer, ctx.logical_undo,
+                       ctx.faults)
     if tracer is not None:
         tracer.end(
             span,
@@ -891,7 +876,7 @@ def _undo_phase(ctx: RecoveryContext, losers: Dict[str, RestartTxn]
         )
     if ctx.metrics is not None:
         ctx.metrics.recovery_pass_records.observe(undo.records_scanned)
-    return undo, fallback
+    return undo
 
 
 def _candidate_sink(
@@ -920,9 +905,7 @@ def recover(ctx: RecoveryContext) -> RecoveryResult:
     The analysis scan files every redo candidate it passes under its
     page, so the redo range is not scanned a second time and redo loads
     each dirty page once; undo visits only the records on the losers'
-    chains, and falls back to the scanning :func:`undo_pass` (recorded
-    in ``fallback``) when a chain LSN is missing from the ``<LSN,
-    address>`` pairs.
+    chains, found through the per-client ``<LSN, address>`` index.
     """
     fused: RedoWorklist = defaultdict(list)
     analysis = _analysis_phase(ctx, _candidate_sink(fused, ctx.client_filter))
@@ -930,5 +913,4 @@ def recover(ctx: RecoveryContext) -> RecoveryResult:
     losers = analysis.losers()
     if ctx.loser_filter is not None:
         losers = ctx.loser_filter(losers)
-    undo, fallback = _undo_phase(ctx, losers)
-    return RecoveryResult(analysis, redo, undo, fallback)
+    return RecoveryResult(analysis, redo, _undo_phase(ctx, losers))

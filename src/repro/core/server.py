@@ -86,9 +86,6 @@ class RecoveryReport:
     clrs_written: int = 0
     txns_rolled_back: int = 0
     dpl_size: int = 0
-    #: Why undo ran the scanning pass instead of walking the losers'
-    #: chains by address, if it did.
-    fallback: Optional[str] = None
 
     @property
     def total_log_records_processed(self) -> int:
@@ -733,33 +730,20 @@ class Server:
     def fetch_log_records(self, client_id: str, txn_id: str,
                           lsns: List[LSN]) -> List[LogRecord]:
         """Serve a rolling-back client records it pruned locally
-        (section 2.4: retrieved from the server's log via the tracked
-        transaction information)."""
+        (section 2.4: retrieved from the server's log through the
+        client's ``<LSN, address>`` index)."""
         self._require_up()
         self._interaction(client_id)
-        txn = self.tracker.get(txn_id)
-        out: List[LogRecord] = []
-        for lsn in lsns:
-            addr = txn.addr_of(lsn) if txn is not None else None
-            if addr is None:
-                addr = self._search_log_for(client_id, lsn)
-            out.append(self.log.read_at(addr))
+        out = [self.log.read_at(self._addr_of_lsn(client_id, lsn))
+               for lsn in lsns]
         self.network.send(self.node_id, client_id, MsgType.LOG_FETCH, out)
         return out
 
-    def _search_log_for(self, client_id: str, lsn: LSN) -> LogAddr:
-        """Last-resort backward search for a record by (client, LSN).
-
-        Newest first over the client's own records: a reconnected client
-        reuses LSNs, and the record meant is the latest to carry it.
-        """
-        for addr, header in self.log.scan_client_headers(
-                client_id, newest_first=True):
-            if header.lsn == lsn:
-                return addr
-        raise RecoveryError(
-            f"log record with LSN {lsn} from {client_id} not found in server log"
-        )
+    def _addr_of_lsn(self, client_id: str, lsn: LSN) -> LogAddr:
+        addr = self.log.addr_of_lsn(client_id, lsn)
+        if addr is None:
+            raise RecoveryError(f"no log record with LSN {lsn} from {client_id}")
+        return addr
 
     # ------------------------------------------------------------------
     # Server-side rollback (ESM-CS baseline, section 4.1)
@@ -783,14 +767,10 @@ class Server:
         from repro.core.apply import apply_undo_effect, physical_undo_effect
         from repro.core.log_records import CompensationRecord
         self._require_up()
-        tracked = self.tracker.get(txn_id)
         current = undo_next_lsn
         prev = last_lsn
         while current != NULL_LSN and current > stop_lsn:
-            addr = tracked.addr_of(current) if tracked is not None else None
-            if addr is None:
-                addr = self._search_log_for(client_id, current)
-            record = self.log.read_at(addr)
+            record = self.log.read_at(self._addr_of_lsn(client_id, current))
             if record.is_clr():
                 current = record.undo_next_lsn  # type: ignore[union-attr]
                 continue
@@ -1172,10 +1152,13 @@ class Server:
           acknowledged; survivors must replay against the pre-checkpoint
           ship high-water instead.
         * ``log_bookkeeping_intact`` skips the whole-log header rescan
-          that rebuilds the per-client <LSN, address> pairs: a standby
+          that rebuilds the per-client <LSN, address> index: a standby
           observed every shipped record as it arrived, so its transplant
-          already carries exact pairs — this skip is a large part of why
-          promotion beats a cold restart.
+          already carries the exact index and clock — this skip is a
+          large part of why promotion beats a cold restart.
+
+        Both restart scans fold every LSN they read into the clock, so
+        every LSN the server issues afterwards sorts above the log's.
         """
         self.network.restore(self.node_id)
         self.crashed = False
@@ -1235,7 +1218,7 @@ class Server:
         start_addr = self._master["server_ckpt_begin_addr"]
         if start_addr == NULL_ADDR:
             start_addr = 0
-        # Rebuild the volatile per-client <LSN, address> pairs over the
+        # Rebuild the volatile per-client <LSN, address> index over the
         # *whole* log first: RecLSN -> RecAddr mapping must never return
         # an address later than the true first qualifying record, and
         # surviving clients still hold pages dirtied long before the last
@@ -1330,7 +1313,6 @@ class Server:
             clrs_written=undo.clrs_written,
             txns_rolled_back=undo.txns_rolled_back,
             dpl_size=len(analysis.dpl),
-            fallback=result.fallback,
         )
         self.last_recovery = report
         self.recovery_reports.append(report)
@@ -1489,11 +1471,13 @@ class Server:
             else result.end_addr
         return result
 
-    def indoubt_info_for(self, client_id: str) -> List[Tuple[str, Tuple, Tuple]]:
-        """Handed to a reconnecting client (section 2.6.1): per in-doubt
-        branch, (txn id, logged lock list, (last_lsn, undo_next_lsn,
-        first_lsn))."""
-        return self._indoubt_for_client.pop(client_id, [])
+    def indoubt_info_for(self, client_id: str
+                         ) -> Tuple[LSN, List[Tuple[str, Tuple, Tuple]]]:
+        """Handed to a reconnecting client (section 2.6.1): Max_LSN, to
+        resume its LSN stream above, and per in-doubt branch (txn id,
+        logged lock list, (last_lsn, undo_next_lsn, first_lsn))."""
+        return (self.log.max_lsn_seen,
+                self._indoubt_for_client.pop(client_id, []))
 
     # ------------------------------------------------------------------
     # Page recovery during normal operation (section 2.5)
@@ -1703,8 +1687,9 @@ class Server:
             if entry.rec_addr != NULL_ADDR:
                 bounds.append(entry.rec_addr)
         for txn in self.tracker.in_progress():
-            if txn.records:
-                bounds.append(txn.records[0][1])
+            first_addr = self.log.addr_of_lsn(txn.client_id, txn.first_lsn)
+            if first_addr is not None:
+                bounds.append(first_addr)
         if respect_archive:
             for page_id in list(self.disk.page_ids()):
                 if self.archive.has_backup(page_id):

@@ -3,15 +3,13 @@
 Beyond owning the stable log, the server-side log manager keeps the
 mappings section 2.5.2 calls for:
 
-* per client, a set of ``<LSN, address>`` pairs built as records arrive,
-  used to map a client-reported RecLSN to an exact (or conservatively
-  lower) RecAddr;
-* per client, the address of *every* record filed under its identity —
-  the complete form of the same pairs, keyed by address so a client
-  that reconnects and restarts its LSN stream loses nothing.  Log
-  records carry the client's identity precisely so one client's records
-  can be read apart from everyone else's (section 2.6.1);
-  :meth:`ServerLogManager.scan_client_headers` is that read;
+* per client, the section 2.5.2 ``<LSN, address>`` pairs of every
+  record filed under its identity (the server's CLRs in a failed
+  client's name included), as ascending addresses with an LSN column.
+  No LSN stream filed under one id ever restarts, so both columns
+  ascend and one bisect maps a RecLSN to a RecAddr, an undo chain LSN
+  to its record, or reads one client's records apart from everyone
+  else's (:meth:`ServerLogManager.scan_client_headers`, section 2.6.1);
 * per client, the address of the most recent record received — the
   conservative ForceAddr assigned to dirty pages arriving from that
   client (section 2.2);
@@ -19,8 +17,8 @@ mappings section 2.5.2 calls for:
   ``Max_LSN`` the server distributes for the Lamport-clock proximity
   scheme of section 3.
 
-All of this is volatile; after a server crash the pairs are rebuilt from
-the restart analysis scan, and RecLSNs that cannot be mapped fall back
+All of this is volatile; after a server crash the index is rebuilt
+from the restart scans, and RecLSNs that cannot be mapped fall back
 to conservative bounds supplied by the caller.
 """
 
@@ -40,6 +38,7 @@ from typing import (
 
 from repro.core.log_records import FrameHeader, LogRecord
 from repro.core.lsn import LSN, LogAddr, LsnClock, NULL_ADDR
+from repro.errors import RecoveryInvariantError
 from repro.storage.stable_log import StableLog
 
 if TYPE_CHECKING:
@@ -182,13 +181,9 @@ class ServerLogManager:
         #: The server's own LSN stream (checkpoint records, CLRs written
         #: on behalf of failed clients, server-resident transactions).
         self.clock = LsnClock()
-        #: Per client: parallel sorted lists of LSNs and their addresses.
-        self._pair_lsns: Dict[str, List[LSN]] = {}
-        self._pair_addrs: Dict[str, List[LogAddr]] = {}
-        #: Per client: ascending addresses of every record carrying its
-        #: ``client_id``, whoever wrote it (the server's CLRs in a failed
-        #: client's name included).
-        self._client_addrs: Dict[str, List[LogAddr]] = {}
+        #: Per client: the ascending addresses of every record carrying
+        #: its ``client_id`` and, beside them, those records' LSNs.
+        self._client_index: Dict[str, Tuple[List[LogAddr], List[LSN]]] = {}
         self._last_addr_from: Dict[str, LogAddr] = {}
         self.client_records_received = 0
 
@@ -208,8 +203,7 @@ class ServerLogManager:
         """Append a record produced by the server itself."""
         self.clock.observe_lsn(record.lsn)
         addr = self.stable.append(record)
-        self._note_pair(record.client_id, record.lsn, addr)
-        self._note_client_addr(record.client_id, addr)
+        self._note_client_addr(record.client_id, record.lsn, addr)
         return addr
 
     def append_from_client(self, client_id: str,
@@ -218,46 +212,47 @@ class ServerLogManager:
         assigned: List[Tuple[LSN, LogAddr]] = []
         for record in records:
             addr = self.stable.append(record)
-            self._note_pair(client_id, record.lsn, addr)
-            self._note_client_addr(record.client_id, addr)
+            self._note_client_addr(record.client_id, record.lsn, addr)
             self._last_addr_from[client_id] = addr
             self.clock.observe_lsn(record.lsn)
             assigned.append((record.lsn, addr))
             self.client_records_received += 1
         return assigned
 
-    def _note_pair(self, client_id: str, lsn: LSN, addr: LogAddr) -> None:
-        lsns = self._pair_lsns.setdefault(client_id, [])
-        addrs = self._pair_addrs.setdefault(client_id, [])
-        if lsns and lsn <= lsns[-1]:
-            # LSNs from one system are monotonic; a duplicate would break
-            # the binary search.  Tolerate re-observation during restart.
-            return
-        lsns.append(lsn)
-        addrs.append(addr)
+    def _note_client_addr(self, client_id: str, lsn: LSN,
+                          addr: LogAddr) -> None:
+        """File the record at ``addr`` in its client's index.
 
-    def _note_client_addr(self, client_id: str, addr: LogAddr) -> None:
-        """File ``addr`` in the client's address index, keeping it sorted.
-
-        Appends arrive in address order, so the load path pays one
-        comparison and one list append.  Restart is the exception: the
-        survivors' lost tail is re-appended *before* the rebuild scan
-        walks the log from its start (and re-visits that tail), so an
-        address at or below the newest one is slotted in, once.
+        Appends arrive in address order: the load path is one dict
+        lookup, a comparison per column and an insert at each column's
+        end.  Restart re-appends the survivors' lost tail *before* the
+        rebuild scan walks the log from its start, so the scan slots
+        older records in below that tail and skips the tail when it
+        meets it again.  An LSN out of step with its neighbours would
+        break every bisect.
         """
-        addrs = self._client_addrs.setdefault(client_id, [])
-        if not addrs or addr > addrs[-1]:
-            addrs.append(addr)
-            return
-        at = bisect.bisect_left(addrs, addr)
-        if addrs[at] != addr:
-            addrs.insert(at, addr)
+        index = self._client_index.get(client_id)
+        if index is None:
+            index = self._client_index[client_id] = ([], [])
+        addrs, lsns = index
+        at = len(addrs)
+        if at and addr <= addrs[-1]:
+            at = bisect.bisect_left(addrs, addr)
+            if addrs[at] == addr:
+                return
+        if (at and lsns[at - 1] >= lsn) or (at < len(lsns) and lsns[at] <= lsn):
+            raise RecoveryInvariantError(
+                f"LSN {lsn} of {client_id} at addr {addr} is out of step "
+                "with the LSNs filed under that id")
+        addrs.insert(at, addr)
+        lsns.insert(at, lsn)
 
     def observe_during_restart(self, client_id: str, lsn: LSN,
                                addr: LogAddr) -> None:
-        """Rebuild the pair sets while the restart analysis scans the log."""
-        self._note_pair(client_id, lsn, addr)
-        self._note_client_addr(client_id, addr)
+        """Rebuild the bookkeeping, and fold the LSN into the server's
+        clock, while a restart scan reads the log."""
+        self.clock.observe_lsn(lsn)
+        self._note_client_addr(client_id, lsn, addr)
         if addr > self._last_addr_from.get(client_id, NULL_ADDR):
             self._last_addr_from[client_id] = addr
 
@@ -268,42 +263,38 @@ class ServerLogManager:
 
         RecLSN semantics: every update record for the page carries an LSN
         strictly greater than RecLSN.  The exact answer is therefore the
-        address of the first record from this client with LSN > RecLSN;
-        when only older pairs exist the result is conservatively lower.
+        address of the first record from this client with LSN > RecLSN.
         Returns None when nothing is known about the client's stream
         (post-crash; the caller substitutes a conservative floor).  A
-        stream whose pairs were all truncated away is still known: every
-        record it has yet to send lands at or after end-of-log.
+        stream whose records were all truncated away is still known:
+        every record it has yet to send lands at or after end-of-log.
         """
-        lsns = self._pair_lsns.get(client_id)
-        if lsns is None:
+        index = self._client_index.get(client_id)
+        if index is None:
             return None
-        index = bisect.bisect_right(lsns, rec_lsn)
-        if index < len(lsns):
-            return self._pair_addrs[client_id][index]
+        addrs, lsns = index
+        at = bisect.bisect_right(lsns, rec_lsn)
+        if at < len(lsns):
+            return addrs[at]
         # All known records have LSN <= RecLSN: their updates are already
         # covered, so scanning from the current end of log is safe — any
         # qualifying record is yet to arrive.
         return self.stable.end_of_log_addr
 
     def addr_of_lsn(self, client_id: str, lsn: LSN) -> Optional[LogAddr]:
-        """Address of the first record a client wrote with this LSN.
+        """Address of the record filed under ``client_id`` with this LSN.
 
-        Restart undo uses this to jump an undo chain (expected
-        UndoNxtLSN -> record address) instead of scanning backward: one
-        binary search over the pair lists.  LSNs are monotonic within
-        one incarnation of a client only — a reconnected client restarts
-        its stream and the pair lists keep the first record per LSN —
-        so the caller checks the record found is the one it meant.
-        Returns ``None`` when the pair is unknown (the caller falls back
-        to the scanning undo pass).
+        Restart undo follows chains with it instead of scanning
+        backward, and rollback fetches find pruned records with it.
+        Returns ``None`` when no retained record carries the LSN.
         """
-        lsns = self._pair_lsns.get(client_id)
-        if not lsns:
+        index = self._client_index.get(client_id)
+        if index is None:
             return None
-        index = bisect.bisect_left(lsns, lsn)
-        if index < len(lsns) and lsns[index] == lsn:
-            return self._pair_addrs[client_id][index]
+        addrs, lsns = index
+        at = bisect.bisect_left(lsns, lsn)
+        if at < len(lsns) and lsns[at] == lsn:
+            return addrs[at]
         return None
 
     def force_addr_for_client(self, client_id: str) -> LogAddr:
@@ -366,7 +357,8 @@ class ServerLogManager:
         records: the address index names them, so nobody else's header
         is peeked.  ``newest_first`` walks the same records backward.
         """
-        addrs: Sequence[LogAddr] = self._client_addrs.get(client_id, ())
+        index = self._client_index.get(client_id)
+        addrs: Sequence[LogAddr] = index[0] if index is not None else ()
         start = bisect.bisect_left(addrs, from_addr)
         stop = (len(addrs) if to_addr is None
                 else bisect.bisect_left(addrs, to_addr, start))
@@ -388,23 +380,17 @@ class ServerLogManager:
         """Discard the log below ``up_to_addr`` and every pointer into it.
 
         A lookup can then never name a record ``header_at`` would not
-        find.  The address index is ascending, so its cut is one bisect;
-        the pair lists ascend by LSN, and only usually by address (a
-        restart files a survivor's replayed tail ahead of its older
-        records), so they are filtered.  A client whose pairs all go
-        keeps its empty lists: its stream is known, just not retained.
+        find.  Each client's index ascends by address, so both of its
+        columns are cut at one bisect.  A client whose records all go
+        keeps its empty index: its stream is known, just not retained.
         Returns the number of records discarded.
         """
         dropped = self.stable.truncate_prefix(up_to_addr)
         low_water = self.stable.low_water_addr
-        for client_id, pair_addrs in self._pair_addrs.items():
-            pair_lsns = self._pair_lsns[client_id]
-            kept = [pair for pair in zip(pair_lsns, pair_addrs)
-                    if pair[1] >= low_water]
-            pair_lsns[:] = [lsn for lsn, _addr in kept]
-            pair_addrs[:] = [addr for _lsn, addr in kept]
-        for addrs in self._client_addrs.values():
-            del addrs[:bisect.bisect_left(addrs, low_water)]
+        for addrs, lsns in self._client_index.values():
+            cut = bisect.bisect_left(addrs, low_water)
+            del addrs[:cut]
+            del lsns[:cut]
         return dropped
 
     # -- crash model --------------------------------------------------------------
@@ -414,7 +400,5 @@ class ServerLogManager:
         self.group.note_crash()
         self.stable.crash()
         self.clock = LsnClock()
-        self._pair_lsns.clear()
-        self._pair_addrs.clear()
-        self._client_addrs.clear()
+        self._client_index.clear()
         self._last_addr_from.clear()

@@ -58,6 +58,25 @@ def check_per_page_log_order(system: ClientServerSystem) -> List[str]:
     return violations
 
 
+def check_lsn_streams(system: ClientServerSystem) -> List[str]:
+    """Within the retained log, the LSNs filed under each client id must
+    strictly increase in address order: a crashed node resumes its
+    stream above everything already logged.  The server's per-client
+    ``<LSN, address>`` index (section 2.5.2) and the Commit_LSN argument
+    (section 3) rest on it."""
+    violations = []
+    last_lsn: Dict[str, int] = {}
+    for addr, header in system.server.log.scan_headers():
+        previous = last_lsn.get(header.client_id)
+        if previous is not None and header.lsn <= previous:
+            violations.append(
+                f"LSN stream: {header.client_id} has LSN {header.lsn} at "
+                f"addr {addr} after LSN {previous}"
+            )
+        last_lsn[header.client_id] = header.lsn
+    return violations
+
+
 def check_clr_chains(system: ClientServerSystem) -> List[str]:
     """Every CLR's UndoNxtLSN must point strictly below the record it
     compensates (bounded rollback logging, invariant 5)."""
@@ -149,6 +168,7 @@ def check_client_buffer_discipline(system: ClientServerSystem) -> List[str]:
 ALL_CHECKS = (
     check_wal,
     check_per_page_log_order,
+    check_lsn_streams,
     check_clr_chains,
     check_cache_coherence,
     check_privilege_exclusivity,

@@ -193,7 +193,7 @@ class StandbyServer:
             assigned = self.log.append_local(record)
         else:
             # Client-attributed records (including server-written CLRs
-            # for failed clients) feed the per-client pair lists, just
+            # for failed clients) feed the per-client log index, just
             # as arrival at the primary did; the slightly larger
             # ForceAddr this gives server-written CLRs is conservative.
             (_lsn, assigned), = self.log.append_from_client(
@@ -366,9 +366,9 @@ class StandbyServer:
         """Rebuild volatile bookkeeping from the durable replicas.
 
         One forward scan of the retained replica log re-feeds the
-        tracker and the per-client pair lists; the applied boundary
-        comes back from the master, and the unapplied map is rebuilt
-        from the records above it.
+        tracker, the per-client log index and the LSN clock; the applied
+        boundary comes back from the master, and the unapplied map is
+        rebuilt from the records above it.
         """
         self.crashed = False
         self.applied_addr = self.master.get(
@@ -376,7 +376,6 @@ class StandbyServer:
         for addr, record in self.log.scan():
             self.log.observe_during_restart(record.client_id,
                                             record.lsn, addr)
-            self.log.clock.observe_lsn(record.lsn)
             if addr >= self.applied_addr:
                 self._observe(addr, record)
             else:

@@ -68,6 +68,25 @@ class TestEsmCs:
         assert client.clrs_written_locally == 0
         assert system.server_visible_value(rids[0]) == ("init", 0)
 
+    def test_every_record_of_a_server_rollback_has_its_own_lsn(self):
+        """The server writes the CLRs in the client's name; the client's
+        End record must still sort above them."""
+        system, rids = self.make()
+        client = system.client("C1")
+        txn = client.begin()
+        client.update(txn, rids[0], "doomed")
+        client.update(txn, rids[2], "doomed too")
+        client.rollback(txn)
+        client._ship_log_records()
+        records = [record for _, record in system.server.log.scan()
+                   if record.txn_id == txn.txn_id]
+        assert [r.type_name for r in records].count("CompensationRecord") == 2
+        lsns = [record.lsn for record in records]
+        assert len(set(lsns)) == len(lsns)
+        end = records[-1]
+        assert end.type_name == "EndRecord"
+        assert end.lsn > end.prev_lsn
+
     def test_conditional_undo_when_update_absent_at_server(self):
         """The update never reached the server (page not shipped): a CLR
         is logged but nothing is applied — ARIES-RRH conditional undo."""

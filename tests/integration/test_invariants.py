@@ -7,6 +7,7 @@ from repro.harness.invariants import (
     check_cache_coherence,
     check_clr_chains,
     check_client_buffer_discipline,
+    check_lsn_streams,
     check_per_page_log_order,
     check_privilege_exclusivity,
     check_wal,
@@ -103,8 +104,18 @@ class TestFaultDetection:
                             op=UpdateOp.RECORD_MODIFY, slot=0,
                             before=b"b", after=b"c")
         system.server.log.append_from_client("C1", [bad1])
-        system.server.log.stable.append(bad2)  # bypass monotonic pair guard
+        system.server.log.stable.append(bad2)  # bypass the index's LSN check
         assert check_per_page_log_order(system)
+
+    def test_lsn_streams_catch_a_restarted_stream(self, seeded):
+        from repro.core.log_records import CommitRecord
+        system, _ = seeded
+        assert check_lsn_streams(system) == []
+        # A client whose stream restarted at 1 after a reconnect.
+        system.server.log.stable.append(
+            CommitRecord(lsn=1, client_id="C1", txn_id="TX", prev_lsn=0))
+        violations = check_lsn_streams(system)
+        assert len(violations) == 1 and "C1" in violations[0]
 
     def test_clr_chain_catches_forward_pointer(self, seeded):
         from repro.core.log_records import CompensationRecord, UpdateOp

@@ -55,7 +55,8 @@ class TestTruncationPoint:
         long_txn = client.begin()
         client.update(long_txn, rids[0], "old-update")
         client._ship_log_records()
-        first_addr = system.server.tracker.get(long_txn.txn_id).records[0][1]
+        tracked = system.server.tracker.get(long_txn.txn_id)
+        first_addr = system.server.log.addr_of_lsn("C1", tracked.first_lsn)
         churn(system, rids[1:], 12, client_id="C2")
         system.server.take_checkpoint()
         assert system.server.compute_truncation_point(

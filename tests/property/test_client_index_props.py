@@ -1,19 +1,24 @@
-"""Property: the per-client address index is the filtered log scan.
+"""Property: the per-client log index is the filtered log scan.
 
 ``ServerLogManager.scan_client_headers(c, a, b)`` must yield exactly the
 records ``scan_headers(a, b)`` yields with ``header.client_id == c`` —
 same addresses, same headers, same order — for every client and every
 range.  Failed-client redo, the in-doubt stash and the rollback fetch
 all read one client's records through it, so a record missing from the
-index is an update recovery silently skips.
+index is an update recovery silently skips.  ``addr_of_lsn`` and
+``addr_for_rec_lsn`` must equal the same full scan searched for the
+first record with that LSN, or with a larger one: undo follows chains
+and RecLSNs become RecAddrs through them.
 
 Every generated history drives the index through each way it is built:
 
-* a client crash and reconnect, which restarts that client's LSN stream
-  (the pair lists drop the repeated LSNs; the index must not) and has
-  the server write CLRs in the failed client's name;
-* a whole-complex crash, after which restart refiles the survivors'
-  tails and rebuilds the rest with ``observe_during_restart``;
+* a client crash and reconnect, after which the server has written CLRs
+  in the failed client's name and the client resumes its LSN stream;
+* a whole-complex crash, after which restart rebuilds the index from
+  the log with ``observe_during_restart``;
+* a server-only crash, where restart re-appends the survivors' lost
+  tails *before* the rebuild scan walks the log from its start;
+* a log truncation, which cuts every client's index;
 * a failover, where the promoted server adopts the standby's log
   manager as is (``log_bookkeeping_intact=True``).
 """
@@ -99,6 +104,37 @@ class History:
         self.system.restart_all()
         self.stranded = {}
 
+    def crash_and_restart_server(self):
+        """Each client leaves an update appended but not forced, so the
+        crash loses a tail the survivors hold and restart re-appends."""
+        flushed = self.system.server.log.flushed_addr
+        for who, client_id in enumerate(CLIENTS):
+            client = self.system.client(client_id)
+            free = [rid for index, rid in enumerate(self.rids)
+                    if index % 2 == who and rid not in self.stranded]
+            if not free:
+                continue
+            self.serial += 1
+            txn = client.begin(f"t-{self.serial}")
+            client.update(txn, free[0], ("tail", self.serial))
+            client._ship_log_records()
+            self.stranded[free[0]] = client_id
+        assert self.system.server.log.end_of_log_addr > flushed
+        self.system.crash_server()
+        self.system.restart_server()
+
+    def truncate(self):
+        """Clean every page and checkpoint first, so the cut reaches
+        past records of every client."""
+        server = self.system.server
+        for client_id in CLIENTS:
+            client = self.system.client(client_id)
+            for page_id in list(client.pool.page_ids()):
+                client._ship_page(page_id)
+        server.flush_all()
+        server.take_checkpoint()
+        server.truncate_log()
+
     def fail_over(self):
         self.system.crash_server()
         self.system.replication.run_failover()
@@ -125,20 +161,48 @@ def check_index(system, spans):
                 == expected
             assert plain(log.scan_client_headers(
                 client_id, lo, hi, newest_first=True)) == expected[::-1]
+    check_lookups(log)
+
+
+def check_lookups(log):
+    """``addr_of_lsn`` and ``addr_for_rec_lsn`` against the full scan."""
+    streams = {}
+    for addr, header in log.scan_headers():
+        streams.setdefault(header.client_id, []).append((addr, header.lsn))
+    end = log.end_of_log_addr
+    for client_id in CLIENTS + (SERVER_ID, "nobody"):
+        stream = streams.get(client_id, [])
+        probes = {0, 10 ** 9}
+        for _, lsn in stream:
+            probes.update((lsn - 1, lsn, lsn + 1))
+        for lsn in sorted(probes):
+            exact = [addr for addr, seen in stream if seen == lsn]
+            assert log.addr_of_lsn(client_id, lsn) == \
+                (exact[0] if exact else None)
+            later = [addr for addr, seen in stream if seen > lsn]
+            mapped = log.addr_for_rec_lsn(client_id, lsn)
+            if later:
+                assert mapped == later[0]
+            elif stream:
+                assert mapped == end
+            else:
+                # Unknown, or known with every record truncated away.
+                assert mapped in (None, end)
 
 
 class TestClientIndexSoundness:
     @SLOW
-    @given(st.lists(segment, min_size=4, max_size=4), st.booleans(),
-           st.sampled_from(CLIENTS), ranges)
+    @given(st.lists(segment, min_size=6, max_size=6),
+           st.permutations(range(4)), st.sampled_from(CLIENTS), ranges)
     def test_index_equals_filtered_scan_through_every_rebuild(
-            self, segments, client_crash_first, victim, spans):
+            self, segments, order, victim, spans):
         history = History()
         system = history.system
-        failures = [lambda: history.crash_and_reconnect_client(victim),
-                    history.crash_and_restart_all]
-        if not client_crash_first:
-            failures.reverse()
+        events = [lambda: history.crash_and_reconnect_client(victim),
+                  history.crash_and_restart_all,
+                  history.crash_and_restart_server,
+                  history.truncate]
+        failures = [events[index] for index in order]
         # The transplant goes last: a promoted server has no standby.
         failures.append(history.fail_over)
 

@@ -34,7 +34,6 @@ class TestTracking:
         txn = tracker.get("T1")
         assert txn.first_lsn == 5 and txn.last_lsn == 5
         assert txn.undo_next_lsn == 5
-        assert txn.addr_of(5) == 100
 
     def test_redo_only_does_not_advance_undo_next(self, tracker):
         tracker.observe(upd(5), 100)

@@ -7,8 +7,8 @@ the reference: on an identically built crash state they must leave the
 same values, page images including page_LSNs, counters, and log bytes.
 The randomized form of the contract lives in
 ``tests/property/test_recovery_engine_props.py``; these tests pin it on
-deterministic crash states, including the one where the chain walk has
-to fall back to the scanning undo pass.
+deterministic crash states, including a loser written after its client
+crashed and reconnected.
 """
 
 import pytest
@@ -67,13 +67,12 @@ def crash_with_prepared():
     return system, rids
 
 
-def crash_with_shadowed_chain():
-    """A loser whose chain LSN the ``<LSN, address>`` pairs cannot find.
+def crash_with_reconnected_loser():
+    """A loser written after its client crashed and reconnected.
 
-    A reconnected client restarts its LSN stream, and the pair lists
-    keep the first record per LSN: the loser's only update reuses an LSN
-    of the client's first incarnation, so ``addr_of_lsn`` resolves it to
-    a record of an older transaction.
+    The reconnect resumes the client's LSN stream above every LSN filed
+    under its id, so the loser's chain LSN names the loser's own record,
+    not one of the client's first incarnation.
     """
     system, rids = build_system()
     c1 = system.client("C1")
@@ -92,20 +91,15 @@ def crash_with_shadowed_chain():
 
 
 class TestDriverAgainstReferencePasses:
-    @pytest.mark.parametrize("crash_state,fallback", [
-        (crash_with_losers, None),
-        (crash_with_prepared, None),
-        (crash_with_shadowed_chain, "undo-chain-lookup-miss"),
+    @pytest.mark.parametrize("crash_state", [
+        crash_with_losers, crash_with_prepared, crash_with_reconnected_loser,
     ])
-    def test_identical_pages_counters_and_log_bytes(self, crash_state,
-                                                    fallback):
+    def test_identical_pages_counters_and_log_bytes(self, crash_state):
         system, rids = crash_state()
         report = system.restart_all()
         reference, _ = crash_state()
         reference_report = restart_all_with_reference_passes(reference)
 
-        assert report.fallback == fallback
-        assert reference_report.fallback is None
         assert (recovered_state(system, report, rids)
                 == recovered_state(reference, reference_report, rids))
 
@@ -116,11 +110,13 @@ class TestDriverAgainstReferencePasses:
         assert report.clrs_written == 2
         assert system.server_visible_value(rids[3]) == ("committed", 3)
 
-    def test_chain_lookup_miss_still_rolls_the_loser_back(self):
-        system, rids = crash_with_shadowed_chain()
+    def test_reconnected_clients_loser_is_undone_by_its_chain(self):
+        system, rids = crash_with_reconnected_loser()
         report = system.restart_all()
-        assert report.fallback == "undo-chain-lookup-miss"
         assert report.txns_rolled_back == 1
+        # The chain walk visits the loser's one update; the scanning
+        # pass would have read the whole log.
+        assert report.undo_records_scanned == 1
         assert system.server_visible_value(rids[0]) == ("first-life", 2)
         assert system.server_visible_value(rids[4]) != ("loser", 0)
 

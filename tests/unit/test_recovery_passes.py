@@ -90,7 +90,7 @@ class TestAnalysis:
             CommitRecord(lsn=2, client_id="C1", txn_id="T1", prev_lsn=1),
         ])
         log.append_from_client("C1", [
-            upd(1, "T2", page=2, op=UpdateOp.RECORD_INSERT, before=None),
+            upd(3, "T2", page=2, op=UpdateOp.RECORD_INSERT, before=None),
         ])
         result = analysis_pass(log, 0)
         assert result.txns["T1"].state == "committed"

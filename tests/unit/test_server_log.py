@@ -5,6 +5,7 @@ import pytest
 from repro.core.log_records import CommitRecord, UpdateOp, UpdateRecord
 from repro.core.lsn import NULL_ADDR
 from repro.core.server_log import ServerLogManager
+from repro.errors import RecoveryInvariantError
 from tests.conftest import plain_headers as plain
 
 
@@ -126,12 +127,22 @@ class TestClientAddressIndex:
         assert plain(slm.scan_client_headers("C1", newest_first=True)) == \
             forward[::-1]
 
-    def test_repeated_lsn_of_a_reconnected_client_is_kept(self, slm):
-        """The pair lists drop a repeated LSN; the address index must not."""
+    def test_repeated_lsn_raises(self, slm):
+        """LSN streams filed under one id never restart; a repeated LSN
+        would make every bisect of the index ambiguous."""
         slm.append_from_client("C1", [update(1), update(2)])
-        slm.append_from_client("C1", [update(1), update(2)])  # second life
-        assert [h.lsn for _, h in slm.scan_client_headers("C1")] == \
-            [1, 2, 1, 2]
+        with pytest.raises(RecoveryInvariantError):
+            slm.append_from_client("C1", [update(1)])
+        with pytest.raises(RecoveryInvariantError):
+            slm.append_local(update(2))
+
+    def test_rebuild_scan_checks_lsns_below_a_tail_filed_first(self, slm):
+        (_, old_addr), = slm.append_from_client("C1", [update(5)])
+        slm.force()
+        slm.crash()
+        slm.append_from_client("C1", [update(3)])  # a tail below LSN 5
+        with pytest.raises(RecoveryInvariantError):
+            slm.observe_during_restart("C1", 5, old_addr)
 
     def test_restart_rebuild_tolerates_tail_filed_first(self, slm):
         pairs = slm.append_from_client("C1", [update(1), update(2)])
