@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.analysis.checkers.base import Checker, run_checkers
-from repro.analysis.checkers.crash_scopes import CrashScopeChecker
 from repro.analysis.checkers.determinism import DeterminismChecker
 from repro.analysis.checkers.lock_order import LockOrderChecker
 from repro.analysis.checkers.observability import ObservabilityChecker
@@ -21,7 +20,7 @@ __all__ = [
     "Checker", "run_checkers", "all_checkers", "all_rules",
     "WalChecker", "PairingChecker", "OrderingChecker",
     "DeterminismChecker", "RpcHygieneChecker", "ObservabilityChecker",
-    "CrashScopeChecker", "LockOrderChecker", "ReachabilityChecker",
+    "LockOrderChecker", "ReachabilityChecker",
     "RecoveryEngineChecker", "ReplicationSeamChecker",
 ]
 
@@ -34,7 +33,6 @@ def all_checkers() -> List[Checker]:
         DeterminismChecker(),
         RpcHygieneChecker(),
         ObservabilityChecker(),
-        CrashScopeChecker(),
         LockOrderChecker(),
         ReachabilityChecker(),
         RecoveryEngineChecker(),

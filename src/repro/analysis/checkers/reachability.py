@@ -8,13 +8,13 @@ WAL100 — from an entry point (an RPC handler or a function nothing in
 the project calls), a durable page write is reachable with no log
 force dominating it on the path.  This is the write-ahead-log rule of
 ARIES/CSA (§WAL, force-before-externalize) stated over whole call
-paths; REC002 is its one-function special case, so WAL100 only fires
-when the witness actually crosses a call (chain length >= 2).
+paths; an entry point that writes with no force earlier in its own
+body is the one-frame case.
 
 REC040 — same reachability, but the missing dominator is a crashpoint:
 a durable write an entry point can reach before any fault-plane
 instrumentation has run is a state transition the crash-schedule
-explorer can never fail.  Generalizes REC030 across calls.
+explorer can never fail.
 
 Findings anchor at the entry point's first call into the unguarded
 chain and carry the full witness, so the fix site (add the force /
@@ -67,8 +67,8 @@ class ReachabilityChecker(Checker):
         graph = build_callgraph(project)
         for key in graph.roots(project):
             witness = summaries.get(key)
-            if witness is None or len(witness) < 2:
-                continue  # local-only: REC002/REC030 already own it
+            if not witness:
+                continue
             head = witness[0]
             scope = graph.scopes[key]
             if scope.module.allowed_at(head.line, rule_id):

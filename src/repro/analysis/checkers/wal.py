@@ -6,15 +6,14 @@ record describing the change.  Mutating a page received as a
 *parameter* is exempt: logging is then the caller's contract (this is
 how ``repro.core.apply`` replays already-logged records).
 
-REC002 — every ``disk.write_page(...)`` site must be dominated by a WAL
-guard: a ``stable_log.force(...)``/``is_stable(...)`` call earlier in
-the same function.  No dirty page may reach disk ahead of its log.
+Disk writes ahead of the log are WAL100's
+(:mod:`repro.analysis.checkers.reachability`).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Set
+from typing import Iterator
 
 from repro.analysis.checkers.base import Checker
 from repro.analysis.findings import Finding
@@ -46,14 +45,11 @@ class WalChecker(Checker):
     RULES = {
         "REC001": "page-byte mutation without page_LSN update or log append "
                   "in scope (WAL, section 2.4)",
-        "REC002": "disk.write_page not dominated by a stable-log force "
-                  "guard (WAL, section 2.5)",
     }
 
     def check_function(self, scope: FunctionScope,
                        project: Project) -> Iterator[Finding]:
         yield from self._check_mutations(scope)
-        yield from self._check_disk_writes(scope)
 
     # -- REC001 --------------------------------------------------------------
 
@@ -105,24 +101,3 @@ class WalChecker(Checker):
                         "log" in (call_receiver(sub) or ""):
                     return True
         return False
-
-    # -- REC002 --------------------------------------------------------------
-
-    def _check_disk_writes(self, scope: FunctionScope) -> Iterator[Finding]:
-        guard_lines: Set[int] = set()
-        writes = []
-        for call in scope.calls():
-            name = call_name(call)
-            if name in ("force", "is_stable"):
-                guard_lines.add(call.lineno)
-            elif name == "write_page" and "disk" in (call_receiver(call) or ""):
-                writes.append(call)
-        for call in writes:
-            if not any(line < call.lineno for line in guard_lines):
-                yield self.found(
-                    scope, call, "REC002",
-                    "disk.write_page without a preceding stable_log.force/"
-                    "is_stable guard in this function",
-                    "force the log through the page's force_addr before "
-                    "writing the page image to disk",
-                )

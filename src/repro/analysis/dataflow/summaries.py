@@ -3,12 +3,12 @@
 Each scope gets a *summary*: the earliest piece of evidence that a
 durable page write is reachable from it with no dominating guard — a
 log force for WAL100, a crashpoint for REC040 — on the path.  Direct
-evidence seeds the fixpoint exactly like REC002/REC030 detect it; a
-call site whose callee is summarized as unguarded propagates the
-callee's witness upward unless a guard call appears on an earlier line
-of the caller.  Propagation therefore models the dominating-guard
-discipline one call frame at a time, which is the same reasoning a
-reviewer does reading the code top to bottom.
+evidence (a durable write with no guard on an earlier line of the same
+scope) seeds the fixpoint; a call site whose callee is summarized as
+unguarded propagates the callee's witness upward unless a guard call
+appears on an earlier line of the caller.  Propagation therefore
+models the dominating-guard discipline one call frame at a time, which
+is the same reasoning a reviewer does reading the code top to bottom.
 
 A scope whose ``def`` line carries ``# lint: allow[<RULE>]`` is
 *sanctioned*: it never becomes unguarded and so stops propagation —
@@ -22,9 +22,6 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.checkers.crash_scopes import (
-    ARCHIVE_WRITE_METHODS, DISK_WRITE_METHODS,
-)
 from repro.analysis.dataflow.callgraph import CallGraph, build_callgraph
 from repro.analysis.project import (
     Project, call_name, call_receiver,
@@ -32,6 +29,10 @@ from repro.analysis.project import (
 
 #: Hard cap on witness chains: anything deeper is a resolution cycle.
 MAX_CHAIN = 12
+#: Raw page writes to the database disk.
+DISK_WRITE_METHODS = {"write_page"}
+#: Page-copy writes into the media-recovery archive.
+ARCHIVE_WRITE_METHODS = {"backup_from_disk", "backup_page"}
 
 
 @dataclass(frozen=True)

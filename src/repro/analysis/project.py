@@ -27,7 +27,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 TRACKED_MODULES = ("random", "time", "datetime")
 
-#: Inline suppression: ``# lint: allow[REC002,WAL100] offline format``.
+#: Inline suppression: ``# lint: allow[REC001,WAL100] offline format``.
 #: The comment suppresses the named rules on its own line and, when it
 #: stands alone, on the line below; on a ``def`` line it sanctions the
 #: whole scope for interprocedural summary purposes.

@@ -108,31 +108,6 @@ class LsnAssignment(enum.Enum):
 
 
 @dataclass(frozen=True)
-class RpcBackoff:
-    """Seeded exponential-backoff-with-cap retry policy for RPC stubs.
-
-    The stub retries a timed-out exchange up to ``max_retries`` times,
-    waiting ``min(base * 2**attempt, cap)`` simulated units plus a
-    seeded jitter of up to ``jitter`` times that delay.  The jitter
-    stream is seeded from ``SystemConfig.seed`` when the policy is
-    instantiated, so ``TrafficStats.backoff_ticks`` is deterministic
-    per seed (two same-seed runs back off identically; two clients in
-    one run do not stampede in lockstep).
-    """
-
-    #: Retries before the destination is declared unavailable.
-    max_retries: int = 8
-    #: First backoff wait in simulated units; doubles per attempt.
-    base: float = 1.0
-    #: Upper bound on a single backoff wait.
-    cap: float = 256.0
-    #: Simulated units a stub waits before treating an exchange as lost.
-    timeout: float = 10.0
-    #: Fraction of the capped delay added as seeded jitter (0 disables).
-    jitter: float = 0.0
-
-
-@dataclass(frozen=True)
 class SystemConfig:
     """Complete policy configuration for one simulated complex.
 
@@ -218,33 +193,17 @@ class SystemConfig:
     #: frame to a standby node over the typed RPC transport, a
     #: heartbeat failure detector watches the primary, and failover
     #: fences the old primary behind a bumped epoch before promoting
-    #: the standby.  Off by default: with replication off the complex
-    #: is byte-identical to the single-node system (the chaos digest
-    #: parity test pins this).
+    #: the standby.  A commit force waits for the standby's durable
+    #: ack, so no acknowledged commit is lost to a failover.  Off by
+    #: default: with replication off the complex is byte-identical to
+    #: the single-node system (the chaos digest parity test pins this).
     replication_enabled: bool = False
-    #: Ship-ack semantics at commit force: ``True`` (the default when
-    #: replication is on) makes the commit-path log force wait for the
-    #: standby's durable ack, so no acknowledged commit can be lost to
-    #: a primary failure — the failover durability oracle assumes this.
-    #: ``False`` ships asynchronously (window of acked-but-unshipped
-    #: commits, the classic async-replication trade).
-    replication_sync_commit: bool = True
     #: The standby applies shipped redo into its page replica every N
     #: shipped records; between applies the shipped tail is durable in
     #: its log replica but not yet materialized.  Promotion rolls
     #: forward exactly that tail through restart recovery — the
     #: smaller this interval, the warmer the standby.
     standby_apply_interval: int = 64
-    #: Simulated ticks between primary heartbeats observed by the
-    #: failure detector.
-    heartbeat_interval: int = 2
-    #: Consecutive missed heartbeats before the detector suspects the
-    #: primary and starts an election (the candidate phase).
-    heartbeat_miss_threshold: int = 3
-    #: Fraction of the suspicion timeout added as seeded jitter, so two
-    #: same-seed runs replay the same detection tick but the timeout is
-    #: decorrelated across seeds.
-    heartbeat_jitter: float = 0.25
 
     # -- transport & RPC ----------------------------------------------
 
@@ -252,16 +211,9 @@ class SystemConfig:
     #: FAULTY only: probability each delivery attempt loses one leg of
     #: the exchange (split evenly between request and response).
     transport_drop_rate: float = 0.05
-    #: FAULTY only: probability a delivered message is delayed.
-    transport_delay_rate: float = 0.0
-    #: FAULTY only: maximum simulated delay units per delayed message.
-    transport_max_delay: float = 5.0
     #: FAULTY only: RNG seed for fault injection; ``None`` reuses ``seed``.
     transport_seed: "int | None" = None
 
-    #: The stub retry policy (:class:`RpcBackoff`): seeded exponential
-    #: backoff with a cap and optional jitter.
-    rpc_backoff: RpcBackoff = RpcBackoff()
     #: Coalesce back-to-back RPCs on the same edge into one
     #: :class:`repro.net.rpc.BatchEnvelope` exchange (today: the commit
     #: path's log-ship + force pair).  Every sub-call keeps its own

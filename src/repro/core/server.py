@@ -325,7 +325,6 @@ class Server:
             self.faults.crashpoint("disk.write.before", self.tracer)
         if self.sanitizer is not None:
             self.sanitizer.on_page_externalize(page.page_id, page.page_lsn)
-        # lint: allow[REC002] write funnel: callers force first (WAL100 checks them)
         io_retry(self.faults, lambda: self.disk.write_page(page),
                  "disk.write")
 

@@ -20,7 +20,7 @@ from repro.core.server import RecoveryReport, Server
 from repro.errors import ReproError
 from repro.faults import FaultPlan
 from repro.net.network import Network
-from repro.net.rpc import retry_policy_from_config, transport_from_config
+from repro.net.rpc import transport_from_config
 from repro.obs.flight import FlightRecorder
 from repro.obs.hist import MetricsHub
 from repro.obs.tracer import Tracer
@@ -40,7 +40,6 @@ class ClientServerSystem:
         self.config = config if config is not None else SystemConfig()
         self.network = Network(
             transport=transport_from_config(self.config),
-            retry=retry_policy_from_config(self.config),
             trace_depth=self.config.message_trace_depth,
         )
         self.server = Server(self.config, self.network)

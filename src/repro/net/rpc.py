@@ -50,7 +50,6 @@ paper's traffic comparisons never count them.
 from __future__ import annotations
 
 import enum
-import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import (
@@ -357,40 +356,18 @@ class RetryPolicy:
     """Client-stub behavior when an exchange times out.
 
     A lost message manifests to the caller as a timeout of
-    ``timeout`` simulated units; each retry backs off exponentially
-    from ``backoff_base`` up to ``backoff_cap``, plus an optional
-    seeded jitter fraction (the classic decorrelation knob — two
-    clients retrying the same dead primary should not stampede in
-    lockstep).  After ``max_retries`` retries the destination is
-    declared unavailable.  The jitter stream is owned by the policy
-    and seeded at construction, so a given seed replays the exact
-    backoff sequence — ``TrafficStats.backoff_ticks`` is deterministic
-    per seed.
+    ``timeout`` simulated units; retry ``n`` (from 0) then waits
+    ``backoff_base * 2**n`` units.  After ``max_retries`` retries the
+    destination is declared unavailable.  The schedule is fixed, so
+    ``TrafficStats.backoff_ticks`` replays exactly.
     """
 
     max_retries: int = 8
     backoff_base: float = 1.0
     timeout: float = 10.0
-    #: Upper bound on one backoff wait; ``None`` leaves the doubling
-    #: uncapped (the historical behavior, still the parity default).
-    backoff_cap: Optional[float] = None
-    #: Fraction of the (capped) delay added as seeded jitter; 0 off.
-    jitter: float = 0.0
-    #: Seed for the jitter stream (unused while ``jitter`` is 0).
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_jitter_rng", random.Random(f"{self.seed}:rpc-backoff"))
 
     def backoff(self, attempt: int) -> float:
-        delay = self.backoff_base * (2.0 ** attempt)
-        if self.backoff_cap is not None and delay > self.backoff_cap:
-            delay = self.backoff_cap
-        if self.jitter > 0.0:
-            rng: random.Random = getattr(self, "_jitter_rng")
-            delay += rng.uniform(0.0, self.jitter * delay)
-        return delay
+        return self.backoff_base * (2.0 ** attempt)
 
 
 class RpcStub:
@@ -519,7 +496,8 @@ def transport_from_config(config: Any) -> Transport:
     (transport namespace) when one is present, so transport chaos and
     storage chaos replay from the same seed; without a plan an implicit
     single-namespace plan is built from the transport seed, preserving
-    the pre-FaultPlan draw sequence exactly.
+    the pre-FaultPlan draw sequence exactly.  The config sets only the
+    drop rate; delays keep :class:`FaultyTransport`'s defaults (none).
     """
     from repro.config import TransportPolicy
     if config.transport_policy is TransportPolicy.FAULTY:
@@ -529,27 +507,6 @@ def transport_from_config(config: Any) -> Transport:
         return FaultyTransport(
             seed=seed,
             drop_rate=config.transport_drop_rate,
-            delay_rate=config.transport_delay_rate,
-            max_delay=config.transport_max_delay,
             fault_plan=config.fault_plan,
         )
     return ReliableTransport()
-
-
-def retry_policy_from_config(config: Any) -> RetryPolicy:
-    """Build the stub retry policy ``config.rpc_backoff`` asks for.
-
-    The default :class:`repro.config.RpcBackoff` cap (256 = 1 * 2**8)
-    lies past the last of its eight doubling waits, so default-config
-    backoff sequences (and therefore ``delay_total``/``backoff_ticks``)
-    are the plain doubling.
-    """
-    backoff = config.rpc_backoff
-    return RetryPolicy(
-        max_retries=backoff.max_retries,
-        backoff_base=backoff.base,
-        timeout=backoff.timeout,
-        backoff_cap=backoff.cap,
-        jitter=backoff.jitter,
-        seed=config.seed,
-    )

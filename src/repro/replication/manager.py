@@ -7,14 +7,13 @@ three states:
 ``follower``
     The standby trails the primary.  The primary's log-service hooks
     (:meth:`on_log_appended`, :meth:`on_commit_force`) trigger ships of
-    the stable, unshipped log tail; with
-    ``SystemConfig.replication_sync_commit`` the commit-path ship is
+    the stable, unshipped log tail.  The commit-path ship is
     synchronous, so a commit acknowledgement implies standby
     durability — the failover durability oracle's premise.
 
 ``candidate``
     The heartbeat detector (:meth:`tick`) missed
-    ``heartbeat_miss_threshold`` consecutive probes plus a seeded
+    :data:`HEARTBEAT_MISS_THRESHOLD` consecutive probes plus a seeded
     jittered slack: the primary is suspected dead and promotion starts.
 
 ``primary``
@@ -50,6 +49,15 @@ if TYPE_CHECKING:
     from repro.faults import FaultPlan
     from repro.obs.hist import MetricsHub
     from repro.obs.tracer import Tracer
+
+#: Simulated ticks between the failure detector's heartbeat probes.
+HEARTBEAT_INTERVAL = 2
+#: Consecutive missed heartbeats before the detector suspects the
+#: primary and starts an election (the candidate phase).
+HEARTBEAT_MISS_THRESHOLD = 3
+#: Fraction of the suspicion threshold added as seeded jitter: two
+#: same-seed runs detect on the same tick, different seeds do not.
+HEARTBEAT_JITTER = 0.25
 
 
 class ReplicationManager:
@@ -158,19 +166,13 @@ class ReplicationManager:
     def on_commit_force(self, flushed: LogAddr) -> None:
         """Primary hook: a commit force completed; ship its records.
 
-        With ``replication_sync_commit`` a failed ship propagates — the
-        commit is *not* acknowledged unless the standby holds it, which
-        is exactly the invariant the failover durability oracle checks.
+        A failed ship propagates — the commit is *not* acknowledged
+        unless the standby holds it, which is exactly the invariant the
+        failover durability oracle checks.
         """
         if self.state != "follower":
             return
-        if self.config.replication_sync_commit:
-            self.ship()
-        else:
-            try:
-                self.ship()
-            except NodeUnavailableError:
-                pass
+        self.ship()
 
     def ship(self) -> LogAddr:
         """Ship the stable unshipped tail (plus changed reply slots) now."""
@@ -218,17 +220,16 @@ class ReplicationManager:
     def tick(self) -> bool:
         """One simulated tick of the failure detector.
 
-        Every ``heartbeat_interval`` ticks the detector probes the
+        Every :data:`HEARTBEAT_INTERVAL` ticks the detector probes the
         primary once (unretried — a miss *is* the signal).  After
-        ``heartbeat_miss_threshold`` consecutive misses plus a seeded
+        :data:`HEARTBEAT_MISS_THRESHOLD` consecutive misses plus a seeded
         jittered slack it turns candidate and promotes.  Returns True
         on the tick that completes a failover.
         """
         if self.state == "primary":
             return False
         self._tick += 1
-        interval = max(1, self.config.heartbeat_interval)
-        if self._tick % interval != 0:
+        if self._tick % HEARTBEAT_INTERVAL != 0:
             return False
         if self._probe_primary():
             self._misses = 0
@@ -239,9 +240,9 @@ class ReplicationManager:
         self._misses += 1
         if self._suspect_tick is None:
             self._suspect_tick = self._tick
-            threshold = float(self.config.heartbeat_miss_threshold)
+            threshold = float(HEARTBEAT_MISS_THRESHOLD)
             self._suspicion_limit = threshold + self._rng.uniform(
-                0.0, self.config.heartbeat_jitter * threshold)
+                0.0, HEARTBEAT_JITTER * threshold)
         assert self._suspicion_limit is not None
         if self._misses >= self._suspicion_limit:
             self.state = "candidate"

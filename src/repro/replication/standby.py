@@ -286,7 +286,7 @@ class StandbyServer:
             self._pages[page_id] = page
         return page
 
-    def _install_page(self, page: Page) -> None:  # lint: allow[WAL100,REC030,REC040] replica install: applies only the forced ship prefix
+    def _install_page(self, page: Page) -> None:  # lint: allow[WAL100,REC040] replica install: applies only the forced ship prefix
         """Apply seam: one page image into the page replica.
 
         No WAL check is needed here: the apply loop only materializes
@@ -295,7 +295,6 @@ class StandbyServer:
         precedes the page by construction.  Crash coverage comes from
         the ship/apply crashpoints around the seam, not per write.
         """
-        # lint: allow[REC002,REC030] standby apply: redoes only forced records
         self.disk.write_page(page)
 
     # ------------------------------------------------------------------

@@ -12,6 +12,7 @@ class Flusher:
     def instrumented_backup(self, addr):
         if self.faults is not None:
             self.faults.crashpoint("backup.before_copy")
+        self.log.force()
         self.archive.backup_from_disk(self.disk, addr)
 
     def reads_need_no_coverage(self):

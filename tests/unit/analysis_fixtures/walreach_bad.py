@@ -1,7 +1,6 @@
 """Bad interprocedural WAL: the entry point reaches the disk-write
 funnel with no log force anywhere on the call path.  The funnel itself
-is sanctioned for the per-function rule (REC002) — caller-side
-enforcement is exactly what WAL100 exists for."""
+is not an entry point, so the finding lands on the caller's call."""
 
 
 class Checkpointer:
@@ -12,5 +11,4 @@ class Checkpointer:
     def _write_out(self, bcb):
         if self.faults is not None:
             self.faults.crashpoint("flush.before_write")
-        # lint: allow[REC002] funnel: callers must force first
         self.disk.write_page(bcb.page)

@@ -11,5 +11,4 @@ class Checkpointer:
     def _write_out(self, bcb):
         if self.faults is not None:
             self.faults.crashpoint("flush.before_write")
-        # lint: allow[REC002] funnel: callers must force first
         self.disk.write_page(bcb.page)

@@ -38,7 +38,8 @@ GOOD_FIXTURES = [p for p in ALL_FIXTURES if p.stem.endswith("_good")]
 def test_fixture_inventory():
     # One good/bad pair per checker family, plus the batching pair
     # exercising the RPC checker's RPC004/RPC005 rules, plus the three
-    # interprocedural pairs (lock order, WAL reach, crashpoint reach).
+    # interprocedural pairs (lock order, WAL reach, crashpoint reach)
+    # and the crash-scope pair (REC040 on an entry point's own write).
     assert len(BAD_FIXTURES) == 13
     assert len(GOOD_FIXTURES) == 13
     assert len(ALL_FIXTURES) == 26

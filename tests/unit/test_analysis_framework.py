@@ -137,16 +137,15 @@ def test_inline_allow_suppresses_finding(tmp_path):
     source.write_text(
         "class M:\n"
         "    def f(self):\n"
-        "        bcb = self.pool.get(7)\n"
-        "        self.faults.crashpoint('m.before_write')\n"
-        "        # lint: allow[REC002] covered by the caller's force\n"
-        "        self.disk.write_page(bcb.page)\n",
+        "        page = self.pool.get(7)\n"
+        "        # lint: allow[REC001] logged by the caller\n"
+        "        page.insert_record(b'x', slot=0)\n",
         encoding="utf-8",
     )
     result = analyze([source])
     assert result.findings == []
     assert result.exit_code == 0
-    assert [f.rule_id for f in result.suppressed] == ["REC002"]
+    assert [f.rule_id for f in result.suppressed] == ["REC001"]
 
 
 # -- the repo's own tree -----------------------------------------------------
@@ -158,19 +157,18 @@ def test_repo_tree_is_protocol_clean():
     result = analyze([REPO_ROOT / "src" / "repro"])
     assert result.findings == [], "\n".join(
         f.render() for f in result.findings)
-    # Inline allows cover exactly: the offline-bootstrap format and its
-    # unlogged writes, the disk-write retry funnel (WAL100 checks its
-    # callers), the SMP-first privilege-under-pin sites, the Histogram
-    # instrument's own count/sum state (OBS001 is about ad-hoc
-    # counters; the instrument IS the registry's data source), the
-    # network's failover-epoch bump (protocol state, not a metric), and
-    # the standby's page-replica install seam (applies only the forced
-    # ship prefix, so the WAL check is satisfied by construction).
+    # Inline allows claim findings in exactly: the offline-bootstrap
+    # format and its unlogged writes, the SMP-first privilege-under-pin
+    # sites, the Histogram instrument's own count/sum state (OBS001 is
+    # about ad-hoc counters; the instrument IS the registry's data
+    # source), and the network's failover-epoch bump (protocol state,
+    # not a metric).  The disk-write funnel and the standby's replica
+    # install are not entry points, so WAL100/REC040 check their
+    # callers and nothing there needs claiming.
     assert {f.qualname for f in result.suppressed} == {
-        "Server.bootstrap", "Server._disk_write",
+        "Server.bootstrap",
         "Client.allocate_page", "Client.deallocate_page",
-        "Histogram.observe", "Network.bump_epoch",
-        "StandbyServer._install_page"}
+        "Histogram.observe", "Network.bump_epoch"}
 
 
 def test_module_entry_point_runs():

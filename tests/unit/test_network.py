@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.core.log_records import CommitRecord
+from repro.core.system import ClientServerSystem
 from repro.errors import LockConflictError, NodeUnavailableError
 from repro.net.messages import MESSAGE_OVERHEAD, MsgType, payload_size
 from repro.net.network import Network
@@ -302,6 +304,21 @@ class TestExactlyOnce:
         assert net.stats.retries_exhausted == 1
         # Simulated waiting: 4 timeouts of 10 + backoffs 1 + 2 + 4.
         assert net.stats.delay_total == pytest.approx(47.0)
+
+    def test_complex_default_schedule(self):
+        """A default complex retries 8 times, doubling from 1 to 128
+        units with no cap and no jitter, then gives up."""
+        system = ClientServerSystem(SystemConfig())
+        system.network.transport = ScriptedTransport(
+            *[DeliveryOutcome.DROP_REQUEST] * 100)
+        with pytest.raises(NodeUnavailableError):
+            system.network.stub("C1", system.server.node_id).call(
+                "get_page", MsgType.PAGE_REQUEST, args=(1,))
+        stats = system.network.stats
+        assert stats.timeouts == 9
+        assert stats.retries == 8
+        assert stats.backoff_ticks == 255         # 1 + 2 + ... + 128
+        assert stats.delay_total == pytest.approx(345.0)  # 9 * 10 + 255
 
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.core.system import ClientServerSystem
+from repro.core.transaction import TxnState
 from repro.errors import (
     NodeUnavailableError,
     ReplicationError,
@@ -96,6 +97,21 @@ class TestShipStream:
                           master=system.server.master_snapshot(), dedup={})
         with pytest.raises(ReplicationError):
             standby.receive_batch(system.server.node_id, batch)
+
+    def test_commit_is_refused_while_the_standby_is_down(self):
+        """The commit-path ship is synchronous: a commit the standby
+        cannot hold is not acknowledged."""
+        system = replicated_system()
+        rid = committed_update(system, "v1")
+        client = system.client("C1")
+        commits = client.commits
+        system.replication.standby.crash()
+        txn = client.begin()
+        client.update(txn, rid, "v2")
+        with pytest.raises(NodeUnavailableError):
+            client.commit(txn)
+        assert txn.state is TxnState.ACTIVE
+        assert client.commits == commits
 
     def test_replication_off_leaves_no_hooks(self):
         system = ClientServerSystem(SystemConfig(), client_ids=("C1",))
