@@ -2,9 +2,10 @@
 
 Standalone runner (no pytest required) that times the stable log's hot
 paths and records the headline claim of the log fast path: a filtered
-scan that peeks frame headers instead of decoding full records.  Emits
-``BENCH_log_fastpath.json`` next to the repo root so CI and EXPERIMENTS
-can assert the speedup is real.
+scan that peeks frame headers instead of decoding full records.  A
+full run writes ``BENCH_log_fastpath.json`` at the repo root, the
+committed figures EXPERIMENTS cites; a ``--quick`` run writes only
+where ``--out`` points, so a smoke run never replaces them.
 
 Usage::
 
@@ -33,6 +34,9 @@ from repro.storage.stable_log import StableLog
 
 #: Required headline speedup for --check (filtered scan, headers vs full).
 REQUIRED_FILTERED_SPEEDUP = 2.0
+
+#: Where a full run writes its figures.
+FULL_OUT = Path(__file__).resolve().parent.parent / "BENCH_log_fastpath.json"
 
 
 def build_records(count):
@@ -166,10 +170,10 @@ def main(argv=None):
     parser.add_argument("--check", action="store_true",
                         help="fail unless filtered-scan speedup >= "
                              f"{REQUIRED_FILTERED_SPEEDUP}x")
-    parser.add_argument("--out", type=Path,
-                        default=Path(__file__).resolve().parent.parent
-                        / "BENCH_log_fastpath.json",
-                        help="where to write the JSON result")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="where to write the JSON result (default: "
+                             f"{FULL_OUT.name} at the repo root for a full "
+                             "run, nowhere for --quick)")
     opts = parser.parse_args(argv)
 
     record_count, iterations = (500, 3) if opts.quick else (4000, 7)
@@ -177,8 +181,10 @@ def main(argv=None):
     result["mode"] = "quick" if opts.quick else "full"
     result["required_filtered_speedup"] = REQUIRED_FILTERED_SPEEDUP
 
-    opts.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {opts.out}")
+    out = opts.out if opts.out is not None or opts.quick else FULL_OUT
+    if out is not None:
+        out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {out}")
     for key in ("append_ns_per_record",
                 "scan_full_decode_ns_per_record",
                 "scan_headers_ns_per_record",

@@ -27,8 +27,6 @@ from repro.core.recovery import (
     AnalysisResult,
     RestartTxn,
     analysis_pass,
-    redo_pass,
-    undo_pass,
 )
 from repro.core.server import RecoveryReport, Server
 from repro.core.server_log import ServerLogManager
@@ -78,6 +76,4 @@ __all__ = [
     "analysis_pass",
     "decode_record",
     "encode_record",
-    "redo_pass",
-    "undo_pass",
 ]

@@ -4,12 +4,21 @@ A production recovery log needs a byte format: the stable log stores
 bytes, crash truncation happens at byte granularity, and log addresses
 are byte offsets.  This codec is deliberately small — five scalar tags
 plus tuples — but it is a real format with framing and round-trip
-guarantees, property-tested in ``tests/property/test_codec.py``.
+guarantees, property-tested in ``tests/property/test_codec_props.py``.
 
 Supported values: ``None``, ``bool``, ``int`` (arbitrary precision),
 ``str``, ``bytes`` and (possibly nested) tuples of supported values.
 Lists are accepted on encode and come back as tuples, which suits log
 records: decoded records are immutable snapshots of what was written.
+
+Decoding is one reader, :func:`read_value`: it dispatches on the tag as
+an integer (``data[i]``, no one-byte slice) and checks every read
+against one bound fixed by the caller, so a value inside a larger
+buffer is read without slicing the buffer first.  Tuple items of the
+two common scalar shapes, ints and byte strings, are read in the
+tuple's own loop; only other tags cost a nested call.
+:func:`skip_value_at` is its non-materializing twin, for walks that
+want a later field and not the ones before it.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from __future__ import annotations
 import struct
 from typing import Any, Tuple, Union
 
-#: Buffer types the lazy helpers accept.  ``skip_value_at`` never
+#: Buffer types the walkers accept.  ``skip_value_at`` never
 #: materializes values, so it works directly against a large backing
 #: ``bytearray`` (e.g. the stable log) without slicing.
 Buffer = Union[bytes, bytearray, memoryview]
@@ -31,8 +40,20 @@ _TAG_STR = b"S"
 _TAG_BYTES = b"B"
 _TAG_TUPLE = b"T"
 
+#: Integer tag values: ``buf[i]`` of any buffer type is an int.
+ORD_NONE = _TAG_NONE[0]
+ORD_TRUE = _TAG_TRUE[0]
+ORD_FALSE = _TAG_FALSE[0]
+ORD_INT = _TAG_INT[0]
+ORD_BIGINT = _TAG_BIGINT[0]
+ORD_STR = _TAG_STR[0]
+ORD_BYTES = _TAG_BYTES[0]
+ORD_TUPLE = _TAG_TUPLE[0]
+
 _I64 = struct.Struct(">q")
 _U32 = struct.Struct(">I")
+_unpack_i64 = _I64.unpack_from
+_unpack_u32 = _U32.unpack_from
 
 _I64_MIN = -(2 ** 63)
 _I64_MAX = 2 ** 63 - 1
@@ -55,9 +76,10 @@ def decode(data: bytes) -> Any:
     Raises :class:`CodecError` on truncated or malformed input, or if the
     buffer has trailing bytes.
     """
-    value, offset = _decode_from(data, 0)
-    if offset != len(data):
-        raise CodecError(f"trailing bytes after value ({len(data) - offset} left)")
+    end = len(data)
+    value, offset = read_value(data, 0, end)
+    if offset != end:
+        raise CodecError(f"trailing bytes after value ({end - offset} left)")
     return value
 
 
@@ -95,78 +117,72 @@ def _encode_into(value: Any, out: bytearray) -> None:
         raise CodecError(f"cannot encode value of type {type(value).__name__}")
 
 
-def _decode_from(data: bytes, offset: int) -> Tuple[Any, int]:
-    if offset >= len(data):
-        raise CodecError("truncated buffer: missing tag")
-    tag = data[offset:offset + 1]
-    offset += 1
-    if tag == _TAG_NONE:
-        return None, offset
-    if tag == _TAG_TRUE:
-        return True, offset
-    if tag == _TAG_FALSE:
-        return False, offset
-    if tag == _TAG_INT:
-        end = offset + 8
-        if end > len(data):
-            raise CodecError("truncated int")
-        return _I64.unpack_from(data, offset)[0], end
-    if tag == _TAG_BIGINT:
-        length, offset = _read_length(data, offset)
-        end = offset + length
-        return int.from_bytes(data[offset:end], "big", signed=True), end
-    if tag == _TAG_STR:
-        length, offset = _read_length(data, offset)
-        end = offset + length
-        try:
-            return data[offset:end].decode("utf-8"), end
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"invalid utf-8 in string: {exc}") from exc
-    if tag == _TAG_BYTES:
-        length, offset = _read_length(data, offset)
-        end = offset + length
-        return data[offset:end], end
-    if tag == _TAG_TUPLE:
-        count, offset = _read_length(data, offset)
-        items = []
-        for _ in range(count):
-            item, offset = _decode_from(data, offset)
-            items.append(item)
-        return tuple(items), offset
-    raise CodecError(f"unknown tag {tag!r} at offset {offset - 1}")
+def read_value(data: bytes, offset: int, end: int) -> Tuple[Any, int]:
+    """Decode the one value starting at ``offset``; nothing at or past
+    ``end`` is read.
 
-
-# -- lazy access -----------------------------------------------------------
-#
-# Header peeking (repro.core.log_records.peek_header) wants a handful of
-# leading fields out of a frame without paying for the rest.  These two
-# helpers make that possible against any buffer type: ``decode_value_at``
-# materializes exactly one value, ``skip_value_at`` advances past one
-# value touching only tags and length prefixes.
-
-# Integer tag values for single-byte indexing (buf[i] is an int).
-ORD_NONE = _TAG_NONE[0]
-ORD_TRUE = _TAG_TRUE[0]
-ORD_FALSE = _TAG_FALSE[0]
-ORD_INT = _TAG_INT[0]
-ORD_BIGINT = _TAG_BIGINT[0]
-ORD_STR = _TAG_STR[0]
-ORD_BYTES = _TAG_BYTES[0]
-ORD_TUPLE = _TAG_TUPLE[0]
-
-
-def decode_value_at(data: Buffer, offset: int) -> Tuple[Any, int]:
-    """Decode the single value starting at ``offset``.
-
-    Returns ``(value, next_offset)``; trailing bytes are allowed (they
-    belong to sibling values).  Accepts any buffer type; slices are
-    copied only for the value being materialized.
+    Returns ``(value, next_offset)``; bytes between ``next_offset`` and
+    ``end`` belong to sibling values.  ``data`` is ``bytes`` (a
+    ``bytearray`` works too, but its ``bytes`` values come back as
+    ``bytearray``).  Raises :class:`CodecError` on truncated or
+    malformed input.
     """
-    if not isinstance(data, bytes):
-        # _decode_from slices for strings/bytes; normalize once so the
-        # behaviour (and error text) is identical across buffer types.
-        data = bytes(data)
-    return _decode_from(data, offset)
+    if offset >= end:
+        raise CodecError("truncated buffer: missing tag")
+    tag = data[offset]
+    offset += 1
+    if tag == ORD_INT:
+        nxt = offset + 8
+        if nxt > end:
+            raise CodecError("truncated int")
+        return _unpack_i64(data, offset)[0], nxt
+    if tag == ORD_TUPLE:
+        nxt = offset + 4
+        if nxt > end:
+            raise CodecError("truncated length prefix")
+        items = []
+        append = items.append
+        for _ in range(_unpack_u32(data, offset)[0]):
+            offset = nxt
+            if offset < end:
+                tag = data[offset]
+                if tag == ORD_INT and offset + 9 <= end:
+                    append(_unpack_i64(data, offset + 1)[0])
+                    nxt = offset + 9
+                    continue
+                if tag == ORD_BYTES and offset + 5 <= end:
+                    offset += 5
+                    nxt = offset + _unpack_u32(data, offset - 4)[0]
+                    if nxt > end:
+                        raise CodecError("length prefix exceeds buffer")
+                    append(data[offset:nxt])
+                    continue
+            item, nxt = read_value(data, offset, end)
+            append(item)
+        return tuple(items), nxt
+    if tag == ORD_STR or tag == ORD_BYTES or tag == ORD_BIGINT:
+        nxt = offset + 4
+        if nxt > end:
+            raise CodecError("truncated length prefix")
+        offset = nxt
+        nxt = offset + _unpack_u32(data, offset - 4)[0]
+        if nxt > end:
+            raise CodecError("length prefix exceeds buffer")
+        if tag == ORD_BYTES:
+            return data[offset:nxt], nxt
+        if tag == ORD_STR:
+            try:
+                return data[offset:nxt].decode("utf-8"), nxt
+            except UnicodeDecodeError as exc:
+                raise CodecError(f"invalid utf-8 in string: {exc}") from exc
+        return int.from_bytes(data[offset:nxt], "big", signed=True), nxt
+    if tag == ORD_NONE:
+        return None, offset
+    if tag == ORD_TRUE:
+        return True, offset
+    if tag == ORD_FALSE:
+        return False, offset
+    raise CodecError(f"unknown tag {bytes((tag,))!r} at offset {offset - 1}")
 
 
 def skip_value_at(data: Buffer, offset: int, end: int) -> int:
@@ -188,7 +204,7 @@ def skip_value_at(data: Buffer, offset: int, end: int) -> int:
     if tag in (ORD_BIGINT, ORD_STR, ORD_BYTES):
         if offset + 4 > end:
             raise CodecError("truncated length prefix")
-        length = _U32.unpack_from(data, offset)[0]
+        length = _unpack_u32(data, offset)[0]
         offset += 4
         if offset + length > end:
             raise CodecError("length prefix exceeds buffer")
@@ -196,19 +212,9 @@ def skip_value_at(data: Buffer, offset: int, end: int) -> int:
     if tag == ORD_TUPLE:
         if offset + 4 > end:
             raise CodecError("truncated length prefix")
-        count = _U32.unpack_from(data, offset)[0]
+        count = _unpack_u32(data, offset)[0]
         offset += 4
         for _ in range(count):
             offset = skip_value_at(data, offset, end)
         return offset
     raise CodecError(f"unknown tag {bytes((tag,))!r} at offset {offset - 1}")
-
-
-def _read_length(data: bytes, offset: int) -> Tuple[int, int]:
-    end = offset + 4
-    if end > len(data):
-        raise CodecError("truncated length prefix")
-    length = _U32.unpack_from(data, offset)[0]
-    if offset + 4 + length > len(data):
-        raise CodecError("length prefix exceeds buffer")
-    return length, end

@@ -44,7 +44,7 @@ import enum
 import struct
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Dict, Optional, Tuple, Type
+from typing import Dict, List, Optional, Tuple, Type
 
 from repro.core import codec
 from repro.core.lsn import LSN, LogAddr, NULL_ADDR, NULL_LSN
@@ -313,70 +313,11 @@ def _encode_frame(record: LogRecord) -> bytes:
     return codec.encode(header + body)
 
 
-def decode_record(data: bytes) -> LogRecord:
-    """Deserialize bytes produced by :func:`encode_record`.
-
-    The record's frame memo is seeded with ``data``, so re-encoding a
-    decoded record (shipping it, appending it to a replica) is free.
-    """
-    record = _decode_fields(codec.decode(data))
-    record.__dict__["_frame"] = data
-    return record
-
-
-def _decode_fields(fields: Tuple) -> LogRecord:
-    tag, lsn, client_id, txn_id, prev_lsn = fields[:5]
-    cls = _TYPE_TAGS.get(tag)
-    if cls is None:
-        raise codec.CodecError(f"unknown log record tag {tag!r}")
-    common = dict(lsn=lsn, client_id=client_id, txn_id=txn_id, prev_lsn=prev_lsn)
-    body = fields[5:]
-    if cls is UpdateRecord:
-        page_id, op, slot, before, after, redo_only, key, page_kind = body
-        return UpdateRecord(
-            page_id=page_id, op=UpdateOp(op), slot=slot, before=before,
-            after=after, redo_only=redo_only, key=key, page_kind=page_kind,
-            **common,
-        )
-    if cls is CompensationRecord:
-        undo_next_lsn, page_id, op, slot, after, key = body
-        return CompensationRecord(
-            undo_next_lsn=undo_next_lsn, page_id=page_id,
-            op=UpdateOp(op) if op is not None else None,
-            slot=slot, after=after, key=key, **common,
-        )
-    if cls is CommitRecord:
-        return CommitRecord(**common)
-    if cls is PrepareRecord:
-        return PrepareRecord(locks=body[0], **common)
-    if cls is EndRecord:
-        return EndRecord(outcome=TxnOutcome(body[0]), **common)
-    if cls is BeginCheckpointRecord:
-        return BeginCheckpointRecord(owner=body[0], **common)
-    if cls is EndCheckpointRecord:
-        owner, dpl_raw, txn_raw = body
-        return EndCheckpointRecord(
-            owner=owner,
-            dirty_pages=tuple(_decode_dpl_entry(e) for e in dpl_raw),
-            transactions=tuple(_decode_txn_entry(t) for t in txn_raw),
-            **common,
-        )
-    if cls is CDPLRecord:
-        return CDPLRecord(
-            entries=tuple(_decode_dpl_entry(e) for e in body[0]), **common
-        )
-    raise codec.CodecError(f"unhandled record class {cls.__name__}")
-
-
 # ---------------------------------------------------------------------------
 # Frame headers: lazy decoding for scan-heavy paths
 # ---------------------------------------------------------------------------
 #
-# Every encoded frame opens with the same fixed *field layout* — a
-# top-level tuple whose first five items are (type_tag, lsn, client_id,
-# txn_id, prev_lsn) — and for the two redoable kinds the body leads with
-# the fields recovery filters on (page_id for UPD; undo_next_lsn and
-# page_id for CLR).  ``peek_header`` decodes only those fields, so the
+# ``peek_header`` reads only the fields recovery filters on, so the
 # analysis/redo/undo passes can discard non-matching records without
 # materializing slot images, lock lists or checkpoint tables.  The byte
 # format itself is unchanged: a header peek reads the same bytes a full
@@ -434,29 +375,152 @@ class FrameHeader:
         )
 
 
-_U32 = struct.Struct(">I")
-_I64 = struct.Struct(">q")
+# ---------------------------------------------------------------------------
+# Parsing: one straight-line walk per frame
+# ---------------------------------------------------------------------------
+#
+# Every frame is a top-level tuple whose first five items are the fixed
+# prefix (type_tag, lsn, client_id, txn_id, prev_lsn); for the two
+# redoable kinds the body leads with the fields recovery filters on
+# (page_id for UPD; undo_next_lsn and page_id for CLR).  ``_parse_prefix``
+# reads the prefix for both consumers: ``peek_header_in`` stops after the
+# filter fields, ``decode_record`` walks on to the frame's end.  A field
+# with its usual tag is read inline; any other tag (a BIGINT LSN, an int
+# ``key``, a damaged byte) goes through the codec's single-value reader
+# at the same offset.  Legal rare shapes therefore decode exactly as the
+# codec would, and malformed input raises ``codec.CodecError`` from the
+# same walk.  Every read is checked against the frame's end first.
 
-# Interned type-tag strings keyed by raw bytes, so the fast path never
-# allocates for the tag.  Unknown tags fall through to the slow path,
-# which reports them like decode_record would.
-_TAG_BYTES_CACHE: Dict[bytes, str] = {tag.encode("ascii"): tag for tag in _TYPE_TAGS}
+#: Items in a frame's top-level tuple, by kind: the five-field prefix
+#: plus the body ``_encode_frame`` writes.
+_FIELD_COUNTS: Dict[str, int] = {
+    "UPD": 13, "CLR": 11, "CMT": 5, "PRE": 6,
+    "END": 6, "BCP": 6, "ECP": 8, "CDP": 6,
+}
 
-# Client/transaction ids repeat across millions of frames; cache their
-# utf-8 decoding (bounded — id cardinality is tiny, but a scan over a
-# hostile buffer must not grow this without limit).
-_ID_CACHE: Dict[bytes, str] = {}
-_ID_CACHE_LIMIT = 4096
+# Interned type tags and ops keyed by their encoded bytes, so the walk
+# never allocates for them.
+_TAG_BY_BYTES: Dict[bytes, str] = {tag.encode("ascii"): tag for tag in _TYPE_TAGS}
+_OP_BY_BYTES: Dict[bytes, UpdateOp] = {op.value.encode("ascii"): op for op in UpdateOp}
+_OP_BY_VALUE: Dict[str, UpdateOp] = {op.value: op for op in UpdateOp}
+_OUTCOME_BY_VALUE: Dict[str, TxnOutcome] = {o.value: o for o in TxnOutcome}
+
+_TUPLE = codec.ORD_TUPLE
+_STR = codec.ORD_STR
+_INT = codec.ORD_INT
+_NONE = codec.ORD_NONE
+_BYTES = codec.ORD_BYTES
+_TRUE = codec.ORD_TRUE
+_FALSE = codec.ORD_FALSE
+_unpack_i64 = struct.Struct(">q").unpack_from
+_unpack_u32 = struct.Struct(">I").unpack_from
+_unpack_str_head = struct.Struct(">BI").unpack_from
+# The tuple head and type tag; then, in the common shape, the LSN and
+# the client id's string head (see ``_parse_prefix``).
+_TAG_HEAD = struct.Struct(">BIBI3s")
+_TAG_HEAD_SIZE = _TAG_HEAD.size
+_unpack_tag_head = _TAG_HEAD.unpack_from
+_HEAD = struct.Struct(">BIBI3sBqBI")
+_HEAD_SIZE = _HEAD.size
+_unpack_head = _HEAD.unpack_from
+_LSN_END = _TAG_HEAD_SIZE + 9
+# Two adjacent fields past their tag bytes, which the walk checks first.
+_unpack_int_len = struct.Struct(">xqxI").unpack_from
+_unpack_two_ints = struct.Struct(">xqxq").unpack_from
+
+# (client_id, txn_id) pairs repeat across a transaction's frames; cache
+# their decoding, keyed on the encoded bytes of both (bounded: a scan over
+# a hostile buffer must not grow this without limit).
+_IDS: Dict[bytes, Tuple[str, Optional[str]]] = {}
+_IDS_LIMIT = 4096
 
 
-def _decode_id(raw: bytes) -> str:
-    cached = _ID_CACHE.get(raw)
-    if cached is None:
-        cached = raw.decode("utf-8")
-        if len(_ID_CACHE) >= _ID_CACHE_LIMIT:
-            _ID_CACHE.clear()
-        _ID_CACHE[raw] = cached
-    return cached
+def _decode_ids(raw: bytes, txn_at: int) -> Tuple[str, Optional[str]]:
+    """Decode the id pair ``raw`` encodes; the txn id's tag is at ``txn_at``."""
+    try:
+        ids = (raw[5:txn_at].decode("utf-8"),
+               raw[txn_at + 5:].decode("utf-8") if raw[txn_at] == _STR
+               else None)
+    except UnicodeDecodeError as exc:
+        raise codec.CodecError(f"invalid utf-8 in id: {exc}") from exc
+    if len(_IDS) >= _IDS_LIMIT:
+        _IDS.clear()
+    _IDS[raw] = ids
+    return ids
+
+
+def _read(buf: codec.Buffer, off: int, end: int) -> Tuple[object, int]:
+    """The codec's single-value reader, for a tag the walk does not inline.
+
+    Inside a larger buffer (the stable log's ``bytearray``) it reads a
+    copy of the frame's remainder, so values come back as ``bytes``.
+    """
+    if buf.__class__ is bytes:
+        return codec.read_value(buf, off, end)
+    rest = bytes(buf[off:end])
+    value, used = codec.read_value(rest, 0, len(rest))
+    return value, off + used
+
+
+def _parse_prefix(buf: codec.Buffer, off: int, end: int
+                  ) -> Tuple[str, LSN, str, Optional[str], LSN, int]:
+    """Read the tuple head and fixed prefix of the frame at ``[off, end)``.
+
+    Returns ``(type_tag, lsn, client_id, txn_id, prev_lsn, body_offset)``.
+    The tuple's item count must be the one its kind encodes.
+    """
+    # Every kind opens with the same 13 bytes, the tuple head and a
+    # 3-byte type-tag string.  Then come the LSN, an 8-byte int unless
+    # it is huge, and the client id's string tag and length.  One unpack
+    # reads all of it from any frame long enough to hold it.
+    if off + _HEAD_SIZE <= end:
+        (tuple_tag, count, tag_tag, tag_len, raw_tag,
+         lsn_tag, lsn, id_tag, id_len) = _unpack_head(buf, off)
+    elif off + _TAG_HEAD_SIZE <= end:
+        tuple_tag, count, tag_tag, tag_len, raw_tag = _unpack_tag_head(
+            buf, off)
+        lsn_tag = None
+    else:
+        raise codec.CodecError("frame shorter than a record prefix")
+    if tuple_tag != _TUPLE:
+        raise codec.CodecError("frame does not start with a record tuple")
+    type_tag = (_TAG_BY_BYTES.get(raw_tag)
+                if tag_tag == _STR and tag_len == 3 else None)
+    if type_tag is None:
+        raise codec.CodecError("unknown log record tag")
+    if count != _FIELD_COUNTS[type_tag]:
+        raise codec.CodecError(
+            f"{type_tag} frame has {count} fields, not {_FIELD_COUNTS[type_tag]}")
+    # A helper per field would cost a call per field, so the walk
+    # stays inline.
+    if lsn_tag == _INT:
+        off += _LSN_END
+    else:
+        lsn, off = _read(buf, off + _TAG_HEAD_SIZE, end)
+        id_tag, id_len = (_unpack_str_head(buf, off) if off + 5 <= end
+                          else (None, 0))
+    # The two ids are one cache lookup, keyed on their encoded bytes:
+    # client_id a string, txn_id a string or None.
+    nxt = end + 1
+    if id_tag == _STR:
+        txn_at = off + 5 + id_len
+        if txn_at + 5 <= end and buf[txn_at] == _STR:
+            nxt = txn_at + 5 + _unpack_u32(buf, txn_at + 1)[0]
+        elif txn_at < end and buf[txn_at] == _NONE:
+            nxt = txn_at + 1
+    if nxt <= end:
+        raw = bytes(buf[off:nxt])
+        client_id, txn_id = _IDS.get(raw) or _decode_ids(raw, txn_at - off)
+        off = nxt
+    else:
+        client_id, off = _read(buf, off, end)
+        txn_id, off = _read(buf, off, end)
+    if off + 9 <= end and buf[off] == _INT:
+        prev_lsn = _unpack_i64(buf, off + 1)[0]
+        off += 9
+    else:
+        prev_lsn, off = _read(buf, off, end)
+    return type_tag, lsn, client_id, txn_id, prev_lsn, off
 
 
 def peek_header(frame: codec.Buffer) -> FrameHeader:
@@ -473,127 +537,183 @@ def peek_header_in(buf: codec.Buffer, start: int, end: int) -> FrameHeader:
     """Like :func:`peek_header` for a frame at ``[start, end)`` inside a
     larger buffer — the stable log peeks frames in place, with no slice.
     """
-    header = _peek_fast(buf, start, end)
-    if header is None:
-        header = _peek_slow(bytes(buf[start:end]))
-    return header
-
-
-def _peek_fast(buf: codec.Buffer, off: int, end: int) -> Optional[FrameHeader]:
-    """Straight-line parse of the common encoding; None on any surprise.
-
-    "Surprise" covers both malformed input and rare-but-legal encodings
-    (BIGINT lsns, non-str txn ids) — the slow path sorts out which.
-    """
-    try:
-        # Top-level tuple tag + item count.
-        if buf[off] != codec.ORD_TUPLE:
-            return None
-        off += 5
-        # Item 0: type tag, a 3-byte string.
-        if buf[off] != codec.ORD_STR:
-            return None
-        length = _U32.unpack_from(buf, off + 1)[0]
-        type_tag = _TAG_BYTES_CACHE.get(bytes(buf[off + 5:off + 5 + length]))
-        if type_tag is None:
-            return None
-        off += 5 + length
-        # Items 1 and 3 onward follow the same shapes; small helpers
-        # would cost a call each per frame, so this stays inline.
-        if buf[off] != codec.ORD_INT:
-            return None
-        lsn = _I64.unpack_from(buf, off + 1)[0]
-        off += 9
-        if buf[off] != codec.ORD_STR:
-            return None
-        length = _U32.unpack_from(buf, off + 1)[0]
-        client_id = _decode_id(bytes(buf[off + 5:off + 5 + length]))
-        off += 5 + length
-        txn_id: Optional[str]
-        tag = buf[off]
-        if tag == codec.ORD_NONE:
-            txn_id = None
-            off += 1
-        elif tag == codec.ORD_STR:
-            length = _U32.unpack_from(buf, off + 1)[0]
-            txn_id = _decode_id(bytes(buf[off + 5:off + 5 + length]))
-            off += 5 + length
-        else:
-            return None
-        if buf[off] != codec.ORD_INT:
-            return None
-        prev_lsn = _I64.unpack_from(buf, off + 1)[0]
-        off += 9
-        if off > end:
-            return None
-
-        if type_tag == "UPD":
-            if buf[off] != codec.ORD_INT:
-                return None
-            page_id = _I64.unpack_from(buf, off + 1)[0]
-            off += 9
-            # Skip op, slot, before, after to reach redo_only.
-            for _ in range(4):
-                off = codec.skip_value_at(buf, off, end)
-            tag = buf[off]
-            if tag == codec.ORD_TRUE:
-                redo_only = True
-            elif tag == codec.ORD_FALSE:
-                redo_only = False
-            else:
-                return None
-            if off >= end:
-                return None
-            return FrameHeader(type_tag, lsn, client_id, txn_id, prev_lsn,
-                               page_id=page_id, redo_only=redo_only)
-        if type_tag == "CLR":
-            if buf[off] != codec.ORD_INT:
-                return None
-            undo_next_lsn = _I64.unpack_from(buf, off + 1)[0]
-            if buf[off + 9] != codec.ORD_INT:
-                return None
-            page_id = _I64.unpack_from(buf, off + 10)[0]
-            if off + 18 > end:
-                return None
-            return FrameHeader(type_tag, lsn, client_id, txn_id, prev_lsn,
-                               page_id=page_id, undo_next_lsn=undo_next_lsn)
-        return FrameHeader(type_tag, lsn, client_id, txn_id, prev_lsn)
-    except (IndexError, struct.error, codec.CodecError):
-        return None
-
-
-def _peek_slow(frame: bytes) -> FrameHeader:
-    """Codec-driven fallback for encodings the fast path declines
-    (BIGINT fields, unusual id types) — and the arbiter of malformed
-    input, raising the same :class:`codec.CodecError` a decode would.
-    """
-    if len(frame) < 5 or frame[0] != codec.ORD_TUPLE:
-        raise codec.CodecError("frame does not start with a record tuple")
-    count = _U32.unpack_from(frame, 1)[0]
-    if count < 5:
-        raise codec.CodecError(f"record tuple has only {count} fields")
-    off = 5
-    fields = []
-    for _ in range(5):
-        value, off = codec.decode_value_at(frame, off)
-        fields.append(value)
-    type_tag, lsn, client_id, txn_id, prev_lsn = fields
-    if _TYPE_TAGS.get(type_tag) is None:
-        raise codec.CodecError(f"unknown log record tag {type_tag!r}")
-    page_id = -1
-    undo_next_lsn: LSN = NULL_LSN
-    redo_only = False
+    type_tag, lsn, client_id, txn_id, prev_lsn, off = _parse_prefix(
+        buf, start, end)
     if type_tag == "UPD":
-        page_id, off = codec.decode_value_at(frame, off)
-        for _ in range(4):
-            off = codec.skip_value_at(frame, off, len(frame))
-        redo_only, off = codec.decode_value_at(frame, off)
+        # page_id and the length of the op string in one unpack, then
+        # step over op, slot, before and after to reach redo_only.  A
+        # length that overruns the frame fails the next bound check.
+        if off + 14 <= end and buf[off] == _INT and buf[off + 9] == _STR:
+            page_id, op_len = _unpack_int_len(buf, off)
+            off += 14 + op_len
+        else:
+            page_id, off = _read(buf, off, end)
+            off = codec.skip_value_at(buf, off, end)
+        if off + 9 <= end and buf[off] == _INT:
+            off += 9
+        else:
+            off = codec.skip_value_at(buf, off, end)
+        if off + 5 <= end and buf[off] == _BYTES:
+            off += 5 + _unpack_u32(buf, off + 1)[0]
+        elif off < end and buf[off] == _NONE:
+            off += 1
+        else:
+            off = codec.skip_value_at(buf, off, end)
+        if off + 5 <= end and buf[off] == _BYTES:
+            off += 5 + _unpack_u32(buf, off + 1)[0]
+        elif off < end and buf[off] == _NONE:
+            off += 1
+        else:
+            off = codec.skip_value_at(buf, off, end)
+        tag = buf[off] if off < end else None
+        if tag == _FALSE:
+            redo_only = False
+        elif tag == _TRUE:
+            redo_only = True
+        else:
+            redo_only, off = _read(buf, off, end)
+        return FrameHeader(type_tag, lsn, client_id, txn_id, prev_lsn,
+                           page_id, NULL_LSN, redo_only)
+    if type_tag == "CLR":
+        if off + 18 <= end and buf[off] == _INT and buf[off + 9] == _INT:
+            undo_next_lsn, page_id = _unpack_two_ints(buf, off)
+        else:
+            undo_next_lsn, off = _read(buf, off, end)
+            page_id, off = _read(buf, off, end)
+        return FrameHeader(type_tag, lsn, client_id, txn_id, prev_lsn,
+                           page_id, undo_next_lsn)
+    return FrameHeader(type_tag, lsn, client_id, txn_id, prev_lsn)
+
+
+def decode_record(data: bytes) -> LogRecord:
+    """Deserialize bytes produced by :func:`encode_record`.
+
+    One walk from the first byte to the last: UPD and CLR bodies are
+    read inline, other kinds through the codec's single-value reader.
+    The record's frame memo is seeded with ``data``, so re-encoding a
+    decoded record (shipping it, appending it to a replica) is free.
+    """
+    end = len(data)
+    type_tag, lsn, client_id, txn_id, prev_lsn, off = _parse_prefix(
+        data, 0, end)
+    record: LogRecord
+    if type_tag == "UPD":
+        if off + 9 <= end and data[off] == _INT:
+            page_id = _unpack_i64(data, off + 1)[0]
+            off += 9
+        else:
+            page_id, off = _read(data, off, end)
+        op, off = _op_field(data, off, end)
+        if off + 9 <= end and data[off] == _INT:
+            slot = _unpack_i64(data, off + 1)[0]
+            off += 9
+        else:
+            slot, off = _read(data, off, end)
+        before, off = _image_field(data, off, end)
+        after, off = _image_field(data, off, end)
+        tag = data[off] if off < end else None
+        if tag == _FALSE:
+            redo_only = False
+            off += 1
+        elif tag == _TRUE:
+            redo_only = True
+            off += 1
+        else:
+            redo_only, off = _read(data, off, end)
+        key, off = _image_field(data, off, end)
+        if off < end and data[off] == _NONE:
+            page_kind = None
+            off += 1
+        else:
+            page_kind, off = _read(data, off, end)
+        record = UpdateRecord(lsn, client_id, txn_id, prev_lsn, page_id, op,
+                              slot, before, after, redo_only, key, page_kind)
     elif type_tag == "CLR":
-        undo_next_lsn, off = codec.decode_value_at(frame, off)
-        page_id, off = codec.decode_value_at(frame, off)
-    return FrameHeader(type_tag, lsn, client_id, txn_id, prev_lsn,
-                       page_id=page_id, undo_next_lsn=undo_next_lsn,
-                       redo_only=bool(redo_only))
+        if off + 18 <= end and data[off] == _INT and data[off + 9] == _INT:
+            undo_next_lsn, page_id = _unpack_two_ints(data, off)
+            off += 18
+        else:
+            undo_next_lsn, off = _read(data, off, end)
+            page_id, off = _read(data, off, end)
+        if off < end and data[off] == _NONE:
+            op = None
+            off += 1
+        else:
+            op, off = _op_field(data, off, end)
+        if off + 9 <= end and data[off] == _INT:
+            slot = _unpack_i64(data, off + 1)[0]
+            off += 9
+        else:
+            slot, off = _read(data, off, end)
+        after, off = _image_field(data, off, end)
+        key, off = _image_field(data, off, end)
+        record = CompensationRecord(lsn, client_id, txn_id, prev_lsn,
+                                    undo_next_lsn, page_id, op, slot, after,
+                                    key)
+    else:
+        body = []
+        for _ in range(_FIELD_COUNTS[type_tag] - 5):
+            value, off = _read(data, off, end)
+            body.append(value)
+        record = _build_other(type_tag, lsn, client_id, txn_id, prev_lsn,
+                              body)
+    if off != end:
+        raise codec.CodecError(f"trailing bytes after record ({end - off} left)")
+    record.__dict__["_frame"] = data
+    return record
+
+
+def _op_field(data: bytes, off: int, end: int) -> Tuple[UpdateOp, int]:
+    """The op of a UPD or CLR body: its value string, by dict lookup."""
+    if off + 5 <= end and data[off] == _STR:
+        nxt = off + 5 + _unpack_u32(data, off + 1)[0]
+        op = _OP_BY_BYTES.get(data[off + 5:nxt]) if nxt <= end else None
+    else:
+        raw, nxt = _read(data, off, end)
+        op = _OP_BY_VALUE.get(raw)  # type: ignore[arg-type]
+    if op is None:
+        raise codec.CodecError("unknown update op")
+    return op, nxt
+
+
+def _image_field(data: bytes, off: int, end: int) -> Tuple[object, int]:
+    """An optional byte string of a UPD or CLR body (an image or key)."""
+    if off + 5 <= end and data[off] == _BYTES:
+        nxt = off + 5 + _unpack_u32(data, off + 1)[0]
+        if nxt > end:
+            raise codec.CodecError("length prefix exceeds buffer")
+        return data[off + 5:nxt], nxt
+    if off < end and data[off] == _NONE:
+        return None, off + 1
+    return _read(data, off, end)
+
+
+def _build_other(type_tag: str, lsn: LSN, client_id: str,
+                 txn_id: Optional[str], prev_lsn: LSN,
+                 body: List[object]) -> LogRecord:
+    """A record of a kind without page effects, from its decoded body."""
+    try:
+        if type_tag == "CMT":
+            return CommitRecord(lsn, client_id, txn_id, prev_lsn)
+        if type_tag == "PRE":
+            return PrepareRecord(lsn, client_id, txn_id, prev_lsn, body[0])
+        if type_tag == "END":
+            return EndRecord(lsn, client_id, txn_id, prev_lsn,
+                             _OUTCOME_BY_VALUE[body[0]])
+        if type_tag == "BCP":
+            return BeginCheckpointRecord(lsn, client_id, txn_id, prev_lsn,
+                                         body[0])
+        if type_tag == "ECP":
+            owner, dpl_raw, txn_raw = body
+            return EndCheckpointRecord(
+                lsn, client_id, txn_id, prev_lsn, owner,
+                tuple(_decode_dpl_entry(e) for e in dpl_raw),
+                tuple(_decode_txn_entry(t) for t in txn_raw),
+            )
+        return CDPLRecord(lsn, client_id, txn_id, prev_lsn,
+                          tuple(_decode_dpl_entry(e) for e in body[0]))
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise codec.CodecError(f"malformed {type_tag} body: {exc}") from exc
 
 
 def _encode_dpl_entry(entry: DirtyPageEntry) -> Tuple:

@@ -28,9 +28,9 @@ Every replay in the system is one of two kernels over an iterable of
 ``(addr, header)`` pairs: :func:`redo_kernel` (apply a record iff
 ``page_LSN < LSN``) and :func:`undo_kernel` (compensate a record iff its
 LSN is its loser's expected UndoNxtLSN).  A log scan and a pre-collected
-list are just two sources for the same loop, so :func:`redo_pass` and
-:func:`undo_pass` — the paper's passes, kept as the reference the
-equivalence tests compare against — page repair, media recovery and
+list are just two sources for the same loop, so the paper's redo and
+undo passes (kept in ``tests/conftest.py`` as the reference the
+equivalence tests compare against), page repair, media recovery and
 standby apply are all kernel callers.  The redo kernel's ordering
 contract is per page: items ascend by address *within a page*, which is
 the only order ``page_LSN < LSN`` can observe; across pages any order
@@ -412,20 +412,6 @@ def redo_kernel(
     return stats
 
 
-def redo_pass(
-    log: ServerLogManager,
-    analysis: AnalysisResult,
-    pages: RecoveryPageAccess,
-    client_filter: Optional[Set[str]] = None,
-    faults: Optional[FaultPlan] = None,
-) -> RedoStats:
-    """The paper's redo pass: the kernel over ``[redo_addr, end_addr)``."""
-    return redo_kernel(
-        log, log.scan_headers(analysis.redo_addr, analysis.end_addr), pages,
-        dpl=analysis.dpl, client_filter=client_filter, faults=faults,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Undo
 # ---------------------------------------------------------------------------
@@ -516,24 +502,6 @@ def undo_kernel(
             "the prefix property was violated"
         )
     return stats
-
-
-def undo_pass(
-    log: ServerLogManager,
-    losers: Dict[str, RestartTxn],
-    pages: RecoveryPageAccess,
-    clr_writer: ClrWriter,
-    logical_undo: Optional[LogicalUndoHandler] = None,
-    faults: Optional[FaultPlan] = None,
-) -> UndoStats:
-    """The paper's undo pass: the kernel over one backward log scan.
-
-    LSNs are not log addresses, so this scan needs no ``<LSN, address>``
-    pairs at all.  :func:`recover` walks the chains by address instead;
-    this pass is the reference the tests compare it against.
-    """
-    return undo_kernel(log, log.scan_headers_backward(), losers, pages,
-                       clr_writer, logical_undo, faults)
 
 
 def _undo_one(
@@ -826,10 +794,11 @@ def _resolve_chains(ctx: RecoveryContext, losers: Dict[str, RestartTxn]
     The server's per-client ``<LSN, address>`` index (section 2.5.2) is
     what lets undo follow a chain by address instead of scanning
     backward.  Chains are resolved per loser, then merged in descending
-    address order — exactly the order the backward scan of
-    :func:`undo_pass` visits the same records.  A chain LSN that names
-    no record, or another transaction's, breaks the prefix property or
-    the ascending LSN streams: :class:`RecoveryInvariantError`.
+    address order — exactly the order the backward scan of the paper's
+    undo pass (kept in ``tests/conftest.py``) visits the same records.
+    A chain LSN that names no record, or another transaction's, breaks
+    the prefix property or the ascending LSN streams:
+    :class:`RecoveryInvariantError`.
     """
     items: List[HeaderItem] = []
     for txn_id, txn in losers.items():

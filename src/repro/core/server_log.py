@@ -355,18 +355,17 @@ class ServerLogManager:
         Yields exactly what filtering ``scan_headers(from_addr, to_addr)``
         on ``header.client_id`` would, but visits only that client's
         records: the address index names them, so nobody else's header
-        is peeked.  ``newest_first`` walks the same records backward.
+        is peeked, and each is found at its address without a search of
+        the whole log.  ``newest_first`` walks the same records backward.
         """
         index = self._client_index.get(client_id)
         addrs: Sequence[LogAddr] = index[0] if index is not None else ()
         start = bisect.bisect_left(addrs, from_addr)
         stop = (len(addrs) if to_addr is None
                 else bisect.bisect_left(addrs, to_addr, start))
-        header_at = self.stable.header_at
-        for at in (range(stop - 1, start - 1, -1) if newest_first
-                   else range(start, stop)):
-            addr = addrs[at]
-            yield addr, header_at(addr)
+        picked = addrs[start:stop]
+        return self.stable.headers_at(
+            reversed(picked) if newest_first else picked)
 
     def read_at(self, addr: LogAddr) -> LogRecord:
         return self.stable.read_at(addr)

@@ -30,7 +30,10 @@ or truncation empties it, so recovery decodes exactly what survived,
 byte for byte.  The header-only variants (``scan_headers`` /
 ``scan_headers_backward``) peek each frame's header fields in place —
 no slicing, no record allocation — which is what lets the recovery
-passes filter before they materialize.
+passes filter before they materialize.  Both are ``headers_at`` over a
+slice of the index: a caller that already holds frame addresses (the
+server's per-client index) peeks them the same way, with no search of
+the whole log per record.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 import bisect
 import struct
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.log_records import (
     FrameHeader,
@@ -59,6 +62,7 @@ if TYPE_CHECKING:
 FRAME_OVERHEAD = 8
 
 _FRAME_LEN = struct.Struct(">Q")
+_unpack_frame_len = _FRAME_LEN.unpack_from
 
 
 class StableLog:
@@ -187,20 +191,9 @@ class StableLog:
 
     def _frame_bytes(self, index: int) -> bytes:
         start, end = self._payload_bounds(index)
-        with memoryview(self._buf) as view:
-            return bytes(view[start:end])
-
-    def _decode_at(self, index: int, addr: LogAddr) -> LogRecord:
-        """Full decode of frame ``index`` through the LRU cache."""
-        cached = self._decoded.get(addr)
-        if cached is not None:
-            self._decoded.move_to_end(addr)
-            self.decode_cache_hits += 1
-            return cached
-        record = decode_record(self._frame_bytes(index))
-        self.full_decodes += 1
-        self._remember(addr, record)
-        return record
+        # A log frame is a few hundred bytes: copying the slice twice
+        # costs less than setting up and releasing a memoryview.
+        return bytes(self._buf[start:end])
 
     def _remember(self, addr: LogAddr, record: LogRecord) -> None:
         self._decoded[addr] = record
@@ -237,11 +230,23 @@ class StableLog:
         return addr < self._flushed_addr or self._flushed_addr == self.end_of_log_addr
 
     def read_at(self, addr: LogAddr) -> LogRecord:
-        """Decode the record whose frame starts at ``addr``."""
+        """Decode the record whose frame starts at ``addr``.
+
+        A record in the LRU is returned before any index lookup: the
+        LRU only ever holds retained frames.
+        """
+        cached = self._decoded.get(addr)
+        if cached is not None:
+            self._decoded.move_to_end(addr)
+            self.decode_cache_hits += 1
+            return cached
         index = bisect.bisect_left(self._index, addr)
         if index >= len(self._index) or self._index[index] != addr:
             raise LogRecordNotFoundError(f"no log record at address {addr}")
-        return self._decode_at(index, addr)
+        record = decode_record(self._frame_bytes(index))
+        self.full_decodes += 1
+        self._remember(addr, record)
+        return record
 
     def header_at(self, addr: LogAddr) -> FrameHeader:
         """Peek only the header of the record at ``addr``."""
@@ -318,13 +323,9 @@ class StableLog:
         repeats from the decode LRU.
         """
         start = bisect.bisect_left(self._index, max(from_addr, 0))
-        for index in range(start, len(self._index)):
-            addr = self._index[index]
-            if to_addr is not None and addr >= to_addr:
-                return
-            self.header_peeks += 1
-            payload_start, payload_end = self._payload_bounds(index)
-            yield addr, peek_header_in(self._buf, payload_start, payload_end)
+        stop = (len(self._index) if to_addr is None
+                else bisect.bisect_left(self._index, to_addr, start))
+        return self.headers_at(self._index[start:stop])
 
     def scan_headers_backward(self, from_addr: Optional[LogAddr] = None,
                               down_to_addr: LogAddr = 0
@@ -334,13 +335,34 @@ class StableLog:
             start = len(self._index)
         else:
             start = bisect.bisect_left(self._index, from_addr)
-        for index in range(start - 1, -1, -1):
-            addr = self._index[index]
-            if addr < down_to_addr:
-                return
+        stop = bisect.bisect_left(self._index, down_to_addr, 0, start)
+        return self.headers_at(reversed(self._index[stop:start]))
+
+    def headers_at(self, addrs: Iterable[LogAddr]
+                   ) -> Iterator[Tuple[LogAddr, FrameHeader]]:
+        """Peek the header of the frame at each of ``addrs``, in order.
+
+        For callers that already hold frame positions: the log's own
+        index slices and the server's per-client address index.  Each
+        frame is found from its address alone, with no bisect of the
+        whole log's index, so an address must be a retained frame start;
+        one outside the retained log raises
+        :class:`~repro.errors.LogRecordNotFoundError`.
+        """
+        buf = self._buf
+        # Appends during the walk only grow the buffer past what the
+        # addresses name, so its base and size can be read once.
+        base = self._base - FRAME_OVERHEAD
+        size = len(buf)
+        for addr in addrs:
+            start = addr - base
+            if start < FRAME_OVERHEAD or start > size:
+                raise LogRecordNotFoundError(f"no log record at address {addr}")
+            end = start + _unpack_frame_len(buf, start - FRAME_OVERHEAD)[0]
+            if end > size:
+                raise LogRecordNotFoundError(f"no log record at address {addr}")
             self.header_peeks += 1
-            payload_start, payload_end = self._payload_bounds(index)
-            yield addr, peek_header_in(self._buf, payload_start, payload_end)
+            yield addr, peek_header_in(buf, start, end)
 
     def record_count(self) -> int:
         return len(self._index)

@@ -5,14 +5,25 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SystemConfig
+from typing import Dict, Optional, Set
+
 from repro.core.log_records import FrameHeader
 from repro.core.recovery import (
+    AnalysisResult,
+    ClrWriter,
+    LogicalUndoHandler,
     RecoveryContext,
+    RecoveryPageAccess,
     RecoveryResult,
+    RedoStats,
+    RestartTxn,
+    UndoStats,
     analysis_pass,
-    redo_pass,
-    undo_pass,
+    redo_kernel,
+    undo_kernel,
 )
+from repro.core.server_log import ServerLogManager
+from repro.faults import FaultPlan
 from repro.core.system import ClientServerSystem
 from repro.errors import RecordNotFoundError
 from repro.workloads.generator import seed_table
@@ -65,6 +76,38 @@ def plain_headers(items) -> list:
 # ---------------------------------------------------------------------------
 # The restart equivalence oracle
 # ---------------------------------------------------------------------------
+
+def redo_pass(
+    log: ServerLogManager,
+    analysis: AnalysisResult,
+    pages: RecoveryPageAccess,
+    client_filter: Optional[Set[str]] = None,
+    faults: Optional[FaultPlan] = None,
+) -> RedoStats:
+    """The paper's redo pass: the kernel over ``[redo_addr, end_addr)``."""
+    return redo_kernel(
+        log, log.scan_headers(analysis.redo_addr, analysis.end_addr), pages,
+        dpl=analysis.dpl, client_filter=client_filter, faults=faults,
+    )
+
+
+def undo_pass(
+    log: ServerLogManager,
+    losers: Dict[str, RestartTxn],
+    pages: RecoveryPageAccess,
+    clr_writer: ClrWriter,
+    logical_undo: Optional[LogicalUndoHandler] = None,
+    faults: Optional[FaultPlan] = None,
+) -> UndoStats:
+    """The paper's undo pass: the kernel over one backward log scan.
+
+    LSNs are not log addresses, so this scan needs no ``<LSN, address>``
+    pairs at all.  ``recover`` walks the chains by address instead;
+    this pass is the reference the tests compare it against.
+    """
+    return undo_kernel(log, log.scan_headers_backward(), losers, pages,
+                       clr_writer, logical_undo, faults)
+
 
 def reference_recover(ctx: RecoveryContext) -> RecoveryResult:
     """The paper's three passes, run back to back over one context.

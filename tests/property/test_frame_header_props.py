@@ -1,11 +1,11 @@
 """Property tests: header peeking agrees with full decoding.
 
-``peek_header`` is the lazy fast path under every header-only scan in
+``peek_header`` is the lazy read under every header-only scan in
 recovery; if it ever disagrees with ``decode_record`` on any encodable
 record, analysis/redo/undo would silently dispatch on wrong fields.
 These properties pin the agreement for every record type, including the
-shapes that force the slow path (BIGINT LSNs, unicode ids, ``None``
-transaction ids, dummy CLRs).
+rare shapes the walk hands to the codec's single-value reader (BIGINT
+LSNs, unicode ids, ``None`` transaction ids, dummy CLRs).
 """
 
 import pytest
@@ -31,7 +31,7 @@ from repro.core.log_records import (
 )
 
 # LSNs including values past 2**63, which the codec stores as BIGINT —
-# a tag the straight-line fast parser refuses, exercising the fallback.
+# a tag the frame walk does not read inline.
 lsns = st.one_of(
     st.integers(min_value=0, max_value=2 ** 62),
     st.integers(min_value=2 ** 63, max_value=2 ** 70),
@@ -136,3 +136,21 @@ class TestPeekHeaderProperties:
         frame = encode_record(record)
         with pytest.raises(codec.CodecError):
             peek_header(frame[:4])
+
+    @pytest.mark.parametrize("peek", ["bytes", "in_place"])
+    def test_invalid_utf8_id_raises_codec_error(self, peek):
+        """A client id that is not valid UTF-8 is malformed input: the
+        peek raises CodecError, as decode_record does, and not the
+        UnicodeDecodeError of the id cache."""
+        frame = encode_record(CommitRecord(
+            lsn=5, client_id="C1", txn_id="C1.T1", prev_lsn=4))
+        bad = bytearray(frame)
+        bad[frame.index(b"C1")] = 0xFF
+        with pytest.raises(codec.CodecError):
+            decode_record(bytes(bad))
+        with pytest.raises(codec.CodecError):
+            if peek == "bytes":
+                peek_header(bytes(bad))
+            else:
+                from repro.core.log_records import peek_header_in
+                peek_header_in(bytearray(b"pad") + bad, 3, 3 + len(bad))

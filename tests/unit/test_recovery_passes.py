@@ -22,12 +22,11 @@ from repro.core.recovery import (
     RecoveryContext,
     analysis_pass,
     recover,
-    redo_pass,
-    undo_pass,
 )
 from repro.core.server_log import ServerLogManager
 from repro.core.system import ClientServerSystem
 from repro.storage.page import Page, PageKind
+from tests.conftest import redo_pass, undo_pass
 
 
 class FakePages:
