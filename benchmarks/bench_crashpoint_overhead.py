@@ -1,9 +1,9 @@
 """Crashpoint-overhead benchmark: the cost of the fault-plane hooks.
 
-Every instrumented hot path carries an ``if self.faults is not None``
-guard (attachment IS the enable switch, the same pattern the tracer
-uses).  This standalone runner (no pytest required) proves the guard is
-free in practice and that the enabled path still works:
+Every instrumented hot path carries a ``probe.faults is not None`` guard
+(DESIGN §9, "Probe").  This standalone runner (no pytest required)
+proves the guard is free in practice and that the enabled path still
+works:
 
 * **disabled gate** — a mixed log/disk workload run on the
   instrumented classes with no fault plan attached, against baseline
@@ -13,6 +13,9 @@ free in practice and that the enabled path still works:
 * **enabled smoke** — one crash schedule replayed twice through the
   chaos explorer; the run must recover with zero violations and a
   digest that is byte-identical across the replays.
+
+A full run writes ``BENCH_crashpoint_overhead.json`` at the repo root; a
+``--quick`` run writes only where ``--out`` points.
 
 Usage::
 
@@ -34,6 +37,10 @@ from repro.storage.stable_log import FRAME_OVERHEAD, StableLog, _FRAME_LEN
 #: --check bound: instrumented-disabled may cost at most 3% over baseline.
 MAX_DISABLED_OVERHEAD = 1.03
 
+#: Where a full run writes its figures.
+FULL_OUT = (Path(__file__).resolve().parent.parent
+            / "BENCH_crashpoint_overhead.json")
+
 #: The schedule the enabled smoke replays (seed travels in the id).
 SMOKE_SCHEDULE_ID = "s0:server.commit.before_force@1"
 
@@ -42,6 +49,7 @@ class _BaselineLog(StableLog):
     """StableLog with the faults guard lines deleted (pre-hook body)."""
 
     def append(self, record):
+        probe = self.probe
         frame = encode_record(record)
         addr = self._base + len(self._buf)
         self._buf += _FRAME_LEN.pack(len(frame))
@@ -50,13 +58,14 @@ class _BaselineLog(StableLog):
         self._remember(addr, record)
         self.appends += 1
         self.bytes_appended += len(frame) + FRAME_OVERHEAD
-        if self.tracer is not None:
-            self.tracer.instant("log", "append", "server", addr=addr,
-                                lsn=int(record.lsn),
-                                nbytes=len(frame) + FRAME_OVERHEAD)
+        if probe.tracer is not None:
+            probe.tracer.instant("log", "append", "server", addr=addr,
+                                 lsn=int(record.lsn),
+                                 nbytes=len(frame) + FRAME_OVERHEAD)
         return addr
 
     def force(self, up_to_addr=None):
+        probe = self.probe
         if up_to_addr is None:
             target = self.end_of_log_addr
         else:
@@ -65,9 +74,9 @@ class _BaselineLog(StableLog):
             return
         self._flushed_addr = target
         self.forces += 1
-        if self.tracer is not None:
-            self.tracer.instant("log", "force", "server",
-                                flushed_addr=target)
+        if probe.tracer is not None:
+            probe.tracer.instant("log", "force", "server",
+                                 flushed_addr=target)
 
 
 class _BaselineDisk(Disk):
@@ -179,10 +188,10 @@ def main(argv=None):
                         help="fail unless disabled overhead <= "
                              f"{MAX_DISABLED_OVERHEAD:.2f}x and the enabled "
                              "replay is clean and stable")
-    parser.add_argument("--out", type=Path,
-                        default=Path(__file__).resolve().parent.parent
-                        / "BENCH_crashpoint_overhead.json",
-                        help="where to write the JSON result")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="where to write the JSON result (default: "
+                             f"{FULL_OUT.name} at the repo root for a full "
+                             "run, nowhere for --quick)")
     opts = parser.parse_args(argv)
 
     record_count, sweeps, rounds = \
@@ -192,8 +201,10 @@ def main(argv=None):
     result["mode"] = "quick" if opts.quick else "full"
     result["max_disabled_overhead"] = MAX_DISABLED_OVERHEAD
 
-    opts.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {opts.out}")
+    out = opts.out if opts.out is not None or opts.quick else FULL_OUT
+    if out is not None:
+        out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {out}")
     print(f"  {'baseline_ns':<28} {result['baseline_ns']:>12}")
     print(f"  {'disabled_ns':<28} {result['disabled_ns']:>12}")
     print(f"  {'disabled_overhead_ratio':<28} "

@@ -5,9 +5,9 @@ driver (``repro.workloads.driver``) at increasing client populations
 through both executors and records the headline claim of the engine PR:
 the ready-queue/wait-set engine sustains contended populations the
 round-robin polling scheduler cannot, because a parked waiter costs
-nothing until its blocker actually terminates.  Emits
-``BENCH_engine_throughput.json`` next to the repo root so CI and
-EXPERIMENTS can assert the speedup is real.
+nothing until its blocker actually terminates.  A full run writes
+``BENCH_engine_throughput.json`` at the repo root so EXPERIMENTS can
+cite the speedup; a ``--quick`` run writes only where ``--out`` points.
 
 Usage::
 
@@ -35,6 +35,10 @@ from repro.workloads import DriverSpec, run_driver
 #: Required engine-over-polling ops/s factor on the comparison row.
 REQUIRED_SPEEDUP_FULL = 5.0    # at 1k clients
 REQUIRED_SPEEDUP_QUICK = 2.0   # at 100 clients (CI smoke)
+
+#: Where a full run writes its figures.
+FULL_OUT = (Path(__file__).resolve().parent.parent
+            / "BENCH_engine_throughput.json")
 
 
 def spec_for(clients):
@@ -80,10 +84,10 @@ def main(argv=None):
     parser.add_argument("--check", action="store_true",
                         help="fail unless the engine beats polling by "
                              "the tier's required factor")
-    parser.add_argument("--out", type=Path,
-                        default=Path(__file__).resolve().parent.parent
-                        / "BENCH_engine_throughput.json",
-                        help="where to write the JSON result")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="where to write the JSON result (default: "
+                             f"{FULL_OUT.name} at the repo root for a full "
+                             "run, nowhere for --quick)")
     opts = parser.parse_args(argv)
 
     if opts.quick:
@@ -116,8 +120,10 @@ def main(argv=None):
         "engine_over_polling_speedup": round(speedup, 2),
         "required_speedup": required,
     }
-    opts.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {opts.out}")
+    out = opts.out if opts.out is not None or opts.quick else FULL_OUT
+    if out is not None:
+        out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {out}")
     print(f"  engine over polling @ {compare_clients} clients: "
           f"{speedup:.2f}x (required {required}x)")
 

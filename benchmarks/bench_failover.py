@@ -4,8 +4,9 @@ Standalone runner (no pytest required) that builds the same primary
 fail-stop twice over an identical committed history — once on a
 single-node complex that must cold-restart the crashed server, once on
 a replicated complex whose standby detects the failure and promotes —
-and times service resumption for each.  Emits ``BENCH_failover.json``
-next to the repo root so CI and EXPERIMENTS can assert the win is real.
+and times service resumption for each.  A full run writes
+``BENCH_failover.json`` at the repo root so EXPERIMENTS can cite the
+win; a ``--quick`` run writes only where ``--out`` points.
 
 The corpus is adversarial for the cold restart on purpose: one early
 server checkpoint, then a long committed bulk with no further
@@ -40,6 +41,9 @@ from repro.workloads.generator import seed_table
 
 #: Promotion must beat cold restart by at least this factor.
 REQUIRED_SPEEDUP = 1.0
+
+#: Where a full run writes its figures.
+FULL_OUT = Path(__file__).resolve().parent.parent / "BENCH_failover.json"
 
 
 def build_fail_stop(replication, txns, table_pages, apply_interval):
@@ -170,10 +174,10 @@ def main(argv=None):
                         help="small corpus (CI smoke)")
     parser.add_argument("--check", action="store_true",
                         help="fail unless promotion beats cold restart")
-    parser.add_argument("--out", type=Path,
-                        default=Path(__file__).resolve().parent.parent
-                        / "BENCH_failover.json",
-                        help="where to write the JSON result")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="where to write the JSON result (default: "
+                             f"{FULL_OUT.name} at the repo root for a full "
+                             "run, nowhere for --quick)")
     opts = parser.parse_args(argv)
 
     txns = 2400 if opts.quick else 8000
@@ -233,8 +237,10 @@ def main(argv=None):
         "required_speedup": REQUIRED_SPEEDUP,
         "structural_mismatches": mismatches,
     }
-    opts.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {opts.out}")
+    out = opts.out if opts.out is not None or opts.quick else FULL_OUT
+    if out is not None:
+        out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {out}")
     print(f"  promotion over cold restart: {speedup:.2f}x "
           f"(required > {REQUIRED_SPEEDUP}x)")
 

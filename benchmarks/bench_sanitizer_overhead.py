@@ -1,8 +1,7 @@
 """Sanitizer-overhead benchmark: the cost of the runtime-monitor hooks.
 
-Every latch/lock/log hot path now carries an ``if self.sanitizer is not
-None`` guard (attachment IS the enable switch, the same pattern the
-tracer and the fault plane use).  This standalone runner (no pytest
+Every latch/lock/log hot path carries a ``probe.sanitizer is not None``
+guard (DESIGN §9, "Probe").  This standalone runner (no pytest
 required) proves the guard is cheap and the enabled path still works:
 
 * **disabled gate** — a mixed fix/unfix + lock + log workload run on
@@ -15,6 +14,9 @@ required) proves the guard is cheap and the enabled path still works:
   the armed run must finish violation-free with a non-empty observed
   acquisition-order graph, and the metrics deltas of the two runs must
   be identical (the sanitizer owns no counters).
+
+A full run writes ``BENCH_sanitizer_overhead.json`` at the repo root; a
+``--quick`` run writes only where ``--out`` points.
 
 Usage::
 
@@ -40,22 +42,28 @@ from repro.storage.stable_log import FRAME_OVERHEAD, StableLog, _FRAME_LEN
 #: --check bound: instrumented-disabled may cost at most 5% over baseline.
 MAX_DISABLED_OVERHEAD = 1.05
 
+#: Where a full run writes its figures.
+FULL_OUT = (Path(__file__).resolve().parent.parent
+            / "BENCH_sanitizer_overhead.json")
+
 
 class _BaselinePool(BufferPool):
     """BufferPool with the sanitizer guard lines deleted (pre-hook body)."""
 
     def fix(self, page_id):
         self._frames[page_id].fix_count += 1
-        if self.tracer is not None:
-            self.tracer.instant("buf", "fix", self.name, page_id=page_id)
+        probe = self.probe
+        if probe.tracer is not None:
+            probe.tracer.instant("buf", "fix", self.name, page_id=page_id)
 
     def unfix(self, page_id):
         bcb = self._frames[page_id]
         if bcb.fix_count <= 0:
             raise ValueError(f"unfix of unfixed page {page_id}")
         bcb.fix_count -= 1
-        if self.tracer is not None:
-            self.tracer.instant("buf", "unfix", self.name, page_id=page_id)
+        probe = self.probe
+        if probe.tracer is not None:
+            probe.tracer.instant("buf", "unfix", self.name, page_id=page_id)
 
 
 class _BaselineTable(LockTable):
@@ -114,8 +122,9 @@ class _BaselineLog(StableLog):
     """StableLog with the sanitizer guard lines deleted (pre-hook body)."""
 
     def append(self, record):
-        if self.faults is not None:
-            self.faults.crashpoint("log.append.before", self.tracer)
+        probe = self.probe
+        if probe.faults is not None:
+            probe.faults.crashpoint("log.append.before")
         frame = encode_record(record)
         addr = self._base + len(self._buf)
         self._buf += _FRAME_LEN.pack(len(frame))
@@ -124,15 +133,16 @@ class _BaselineLog(StableLog):
         self._remember(addr, record)
         self.appends += 1
         self.bytes_appended += len(frame) + FRAME_OVERHEAD
-        if self.tracer is not None:
-            self.tracer.instant("log", "append", "server", addr=addr,
-                                lsn=int(record.lsn),
-                                nbytes=len(frame) + FRAME_OVERHEAD)
+        if probe.tracer is not None:
+            probe.tracer.instant("log", "append", "server", addr=addr,
+                                 lsn=int(record.lsn),
+                                 nbytes=len(frame) + FRAME_OVERHEAD)
         return addr
 
     def force(self, up_to_addr=None):
-        if self.faults is not None:
-            self.faults.crashpoint("log.force.before", self.tracer)
+        probe = self.probe
+        if probe.faults is not None:
+            probe.faults.crashpoint("log.force.before")
         if up_to_addr is None:
             target = self.end_of_log_addr
         else:
@@ -141,9 +151,9 @@ class _BaselineLog(StableLog):
             return
         self._flushed_addr = target
         self.forces += 1
-        if self.tracer is not None:
-            self.tracer.instant("log", "force", "server",
-                                flushed_addr=target)
+        if probe.tracer is not None:
+            probe.tracer.instant("log", "force", "server",
+                                 flushed_addr=target)
 
 
 def build_records(count):
@@ -255,7 +265,7 @@ def run_enabled_smoke():
         Engine(system).run(programs)
         deltas.append(metrics.snapshot(system).minus(before))
         if armed:
-            edges = len(system.sanitizer.observed_edges())
+            edges = len(system.probe.sanitizer.observed_edges())
     return {
         "smoke_observed_edges": edges,
         "smoke_metrics_identical": deltas[0] == deltas[1],
@@ -270,10 +280,10 @@ def main(argv=None):
                         help="fail unless disabled overhead <= "
                              f"{MAX_DISABLED_OVERHEAD:.2f}x and the enabled "
                              "smoke is clean and metrics-identical")
-    parser.add_argument("--out", type=Path,
-                        default=Path(__file__).resolve().parent.parent
-                        / "BENCH_sanitizer_overhead.json",
-                        help="where to write the JSON result")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="where to write the JSON result (default: "
+                             f"{FULL_OUT.name} at the repo root for a full "
+                             "run, nowhere for --quick)")
     opts = parser.parse_args(argv)
 
     record_count, sweeps, rounds = \
@@ -283,8 +293,10 @@ def main(argv=None):
     result["mode"] = "quick" if opts.quick else "full"
     result["max_disabled_overhead"] = MAX_DISABLED_OVERHEAD
 
-    opts.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {opts.out}")
+    out = opts.out if opts.out is not None or opts.quick else FULL_OUT
+    if out is not None:
+        out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {out}")
     print(f"  {'baseline_ns':<28} {result['baseline_ns']:>12}")
     print(f"  {'disabled_ns':<28} {result['disabled_ns']:>12}")
     print(f"  {'disabled_overhead_ratio':<28} "

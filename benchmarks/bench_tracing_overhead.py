@@ -1,9 +1,8 @@
 """Tracing-overhead benchmark: the cost of the observability hooks.
 
-Every hot path carries an ``if self.tracer is not None`` guard
-(attachment IS the enable switch).  This standalone runner (no pytest
-required) proves the guard is free in practice and that the enabled
-path produces a valid trace:
+Every hot path carries a ``probe.tracer is not None`` guard (DESIGN §9,
+"Probe").  This standalone runner (no pytest required) proves the guard
+is free in practice and that the enabled path produces a valid trace:
 
 * **disabled gate** — a mixed log/buffer workload run on the
   instrumented classes with no tracer attached, against baseline
@@ -11,13 +10,16 @@ path produces a valid trace:
   ``--check`` fails unless the instrumented-disabled run is within
   :data:`MAX_DISABLED_OVERHEAD` of baseline.
 * **histograms-disabled gate** — the same comparison for the metrics
-  guard alone (``if self.metrics is not None`` with no hub attached),
+  guard alone (``probe.metrics is not None`` with no hub attached),
   gated by the same :data:`MAX_DISABLED_OVERHEAD` bound.
 * **enabled smoke** — an E5-style client-crash run with tracing and
   metrics on; the Chrome ``trace_event`` export must pass
   :func:`repro.obs.export.validate_chrome_trace` and the OpenMetrics
   text must pass :func:`repro.obs.export.validate_openmetrics` with
   zero problems.
+
+A full run writes ``BENCH_tracing_overhead.json`` at the repo root; a
+``--quick`` run writes only where ``--out`` points.
 
 Usage::
 
@@ -40,6 +42,10 @@ from repro.storage.stable_log import FRAME_OVERHEAD, StableLog, _FRAME_LEN
 
 #: --check bound: instrumented-disabled may cost at most 3% over baseline.
 MAX_DISABLED_OVERHEAD = 1.03
+
+#: Where a full run writes its figures.
+FULL_OUT = (Path(__file__).resolve().parent.parent
+            / "BENCH_tracing_overhead.json")
 
 
 class _BaselineLog(StableLog):
@@ -72,6 +78,7 @@ class _HistOnlyLog(_BaselineLog):
     the cost of the un-attached ``metrics`` check from the tracer's."""
 
     def force(self, up_to_addr=None):
+        probe = self.probe
         if up_to_addr is None:
             target = self.end_of_log_addr
         else:
@@ -81,8 +88,8 @@ class _HistOnlyLog(_BaselineLog):
         flushed_before = self._flushed_addr
         self._flushed_addr = target
         self.forces += 1
-        if self.metrics is not None:
-            self.metrics.log_force_bytes.observe(target - flushed_before)
+        if probe.metrics is not None:
+            probe.metrics.log_force_bytes.observe(target - flushed_before)
 
 
 class _BaselinePool(BufferPool):
@@ -206,7 +213,7 @@ def run_enabled_smoke():
     from repro.harness.metrics import snapshot
 
     system = _demo_system()
-    tracer = system.tracer
+    tracer = system.probe.tracer
     assert tracer is not None
     doc = to_chrome_trace(tracer.events)
     problems = validate_chrome_trace(doc)
@@ -230,10 +237,10 @@ def main(argv=None):
                         help="fail unless disabled overhead <= "
                              f"{MAX_DISABLED_OVERHEAD:.2f}x and the enabled "
                              "trace validates")
-    parser.add_argument("--out", type=Path,
-                        default=Path(__file__).resolve().parent.parent
-                        / "BENCH_tracing_overhead.json",
-                        help="where to write the JSON result")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="where to write the JSON result (default: "
+                             f"{FULL_OUT.name} at the repo root for a full "
+                             "run, nowhere for --quick)")
     opts = parser.parse_args(argv)
 
     record_count, sweeps, rounds = \
@@ -244,8 +251,10 @@ def main(argv=None):
     result["mode"] = "quick" if opts.quick else "full"
     result["max_disabled_overhead"] = MAX_DISABLED_OVERHEAD
 
-    opts.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {opts.out}")
+    out = opts.out if opts.out is not None or opts.quick else FULL_OUT
+    if out is not None:
+        out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {out}")
     print(f"  {'baseline_ns':<28} {result['baseline_ns']:>12}")
     print(f"  {'disabled_ns':<28} {result['disabled_ns']:>12}")
     print(f"  {'disabled_overhead_ratio':<28} "

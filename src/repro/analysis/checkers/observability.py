@@ -16,8 +16,8 @@ it, or mark it as private state with a leading underscore.
 OBS002 — a method observes into a ``MetricsHub`` instrument the
 histogram/time-series manifests (``TRACKED_HISTOGRAM_ATTRS`` /
 ``TRACKED_TIMESERIES_ATTRS``) do not list.  Hub instruments are only
-reachable through a binding named ``metrics`` (``system.metrics``,
-``network.metrics``, ``ctx.metrics``, a local ``metrics``), so the rule
+reachable through a binding named ``metrics`` (``probe.metrics``,
+``self.probe.metrics``, a local ``metrics``), so the rule
 keys on ``…metrics.<attr>.observe(...)`` / ``…metrics.<attr>.sample(...)``
 call shapes; ``.observe``/``.sample`` on anything else (a local
 histogram under construction, the dirty-page tracker) is out of scope.

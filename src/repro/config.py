@@ -228,7 +228,7 @@ class SystemConfig:
 
     #: Build and attach a :class:`repro.obs.Tracer` to every instrumented
     #: subsystem of the complex.  Off by default: an unattached hook
-    #: costs one pointer comparison (the CI bench gate holds it ≤ 3%).
+    #: costs one probe guard (the CI bench gate holds it ≤ 3%).
     trace_enabled: bool = False
 
     #: Build and attach a :class:`repro.obs.hist.MetricsHub` — the
@@ -236,8 +236,8 @@ class SystemConfig:
     #: waits, RPC round trips, log-force bytes, group-commit batches,
     #: recovery-pass sizes, restart progress) surfaced through
     #: ``harness.metrics.snapshot().histograms``.  Off by default: an
-    #: unattached observation site costs one pointer comparison (the CI
-    #: bench gate holds the disabled path ≤ 3%).
+    #: unattached observation site costs one probe guard (the CI bench
+    #: gate holds the disabled path ≤ 3%).
     metrics_enabled: bool = False
 
     #: Arm the per-node crash flight recorder with rings of this many
@@ -250,15 +250,15 @@ class SystemConfig:
     #: :class:`repro.sanitizer.SanitizerViolation` on latch/lock order
     #: inversions, unpaired fixes at operation exit, and unforced-log
     #: page externalization.  Off by default: an unattached hook costs
-    #: one pointer comparison (the CI bench gate holds it ≤ 5%).
+    #: one probe guard (the CI bench gate holds it ≤ 5%).
     sanitizer: bool = False
 
     #: The unified fault plane (``repro.faults``): one seeded plan that
     #: drives *all* injection — transport drops/delays, torn page
     #: writes, transient I/O errors, partial log flushes, and armed
     #: crashpoint schedules.  ``None`` (the default) leaves every
-    #: crashpoint hook at its one-pointer-comparison disabled cost and
-    #: keeps all experiment tables byte-identical.
+    #: crashpoint hook at its one-guard disabled cost and keeps all
+    #: experiment tables byte-identical.
     fault_plan: Optional[FaultPlan] = None
 
     #: Deterministic seed for any randomized tie-breaking inside the

@@ -26,7 +26,7 @@ force-to-disk commit.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.config import (
     CommitCachePolicy,
@@ -68,14 +68,10 @@ from repro.locking.lock_modes import LockMode
 from repro.net.messages import MsgType
 from repro.net.network import Network
 from repro.net.rpc import BatchCall, RpcDispatcher
+from repro.probe import Probe
 from repro.records.heap import RecordId, decode_value, encode_value
 from repro.storage.buffer_pool import BufferControlBlock, BufferPool
 from repro.storage.page import Page, PageKind
-
-if TYPE_CHECKING:
-    from repro.faults import FaultPlan
-    from repro.obs.tracer import Tracer
-    from repro.sanitizer import Sanitizer
 
 #: Hook for logical undo of index operations: (record, page_supplier) ->
 #: UndoEffect on the page where the key currently lives.
@@ -86,10 +82,13 @@ class Client:
     """One client workstation of the complex."""
 
     def __init__(self, client_id: str, config: SystemConfig,
-                 network: Network, server: Server) -> None:
+                 network: Network, server: Server,
+                 probe: Optional[Probe] = None) -> None:
         self.client_id = client_id
         self.config = config
         self.network = network
+        #: The owning complex's planes, handed to the pool and the LLM.
+        self.probe = probe if probe is not None else Probe()
         #: Kept only for session establishment (``connect_client``); all
         #: protocol interactions go through ``self.rpc``.
         self.server = server
@@ -103,7 +102,7 @@ class Client:
 
         self.pool = BufferPool(
             config.client_buffer_frames, f"{client_id}-pool",
-            on_evict=self._evict_dirty,
+            on_evict=self._evict_dirty, probe=self.probe,
         )
         self.log = ClientLogManager(client_id)
         self.llm = LocalLockManager(
@@ -111,6 +110,7 @@ class Client:
             glm_request=self._glm_request,
             glm_release=self._glm_release,
             cache_locks=config.llm_cache_locks,
+            probe=self.probe,
         )
         self.txns = TransactionTable(client_id)
         #: P-locks this client holds: page id -> mode.  X is the
@@ -142,14 +142,6 @@ class Client:
         #: Space-map page updates applied by this client (allocate /
         #: deallocate), surfaced through the metrics registry.
         self.smp_updates = 0
-
-        #: Attached by the owning complex; ``None`` disables the hooks.
-        self.tracer: Optional["Tracer"] = None
-        #: Attached by the owning complex; ``None`` disables injection.
-        self.faults: Optional["FaultPlan"] = None
-        #: Attached by the owning complex; ``None`` disables the runtime
-        #: latch/lock-order sanitizer (repro.sanitizer).
-        self.sanitizer: Optional["Sanitizer"] = None
 
         server.connect_client(self)
 
@@ -310,8 +302,8 @@ class Client:
         self._push_dirty_state(bcb)
 
     def _push_dirty_state(self, bcb: BufferControlBlock) -> None:
-        if self.faults is not None:
-            self.faults.crashpoint("client.evict.before_push", self.tracer)
+        if self.probe.faults is not None:
+            self.probe.faults.crashpoint("client.evict.before_push")
         self._ship_log_records()
         if self.config.page_transport is PageTransport.LOG_REPLAY:
             self.rpc.call("materialize_page", MsgType.MATERIALIZE,
@@ -357,8 +349,8 @@ class Client:
                     )
             if page.page_lsn < threshold:
                 self.locks_avoided_by_commit_lsn += 1
-                if self.tracer is not None:
-                    self.tracer.instant(
+                if self.probe.tracer is not None:
+                    self.probe.tracer.instant(
                         "lock", "commit_lsn_avoided", self.client_id,
                         page_id=rid.page_id, page_lsn=int(page.page_lsn),
                         threshold=int(threshold),
@@ -567,9 +559,9 @@ class Client:
                 # The allocation is logged but the format record is not
                 # yet: a crash here leaves an allocated-but-unformatted
                 # page for undo to reclaim (section 2.3).
-                if self.faults is not None:
-                    self.faults.crashpoint(
-                        "client.alloc.between_smp_and_format", self.tracer)
+                if self.probe.faults is not None:
+                    self.probe.faults.crashpoint(
+                        "client.alloc.between_smp_and_format")
                 # lint: allow[LOCK002] SMP-first order: the data-page P-lock RPC under the SMP pin
                 page = self._ensure_update_privilege(page_id)
                 meta_image = None
@@ -650,9 +642,9 @@ class Client:
                     # Piggybacks on the page ship just sent (uncharged).
                     self.rpc.call("flush_page", MsgType.COMMIT_REQUEST,
                                   args=(page_id,), charge=False)
-        if self.faults is not None:
-            self.faults.crashpoint("client.commit.before_commit_record",
-                                   self.tracer)
+        probe = self.probe
+        if probe.faults is not None:
+            probe.faults.crashpoint("client.commit.before_commit_record")
         commit_lsn = self._assign_lsn(NULL_LSN)
         self.log.append(CommitRecord(
             lsn=commit_lsn, client_id=self.client_id, txn_id=txn.txn_id,
@@ -660,7 +652,7 @@ class Client:
         ))
         txn.last_lsn = commit_lsn
         batch = self.log.unshipped()
-        if self.config.rpc_batching and self.faults is None and batch:
+        if self.config.rpc_batching and probe.faults is None and batch:
             # Coalesce the commit's ship + force pair into one batched
             # exchange on the client->server edge.  Disabled whenever a
             # fault plan is attached: the before_force crashpoint sits
@@ -677,15 +669,14 @@ class Client:
             flushed = forced
         else:
             self._ship_log_records()
-            if self.faults is not None:
-                self.faults.crashpoint("client.commit.before_force",
-                                       self.tracer)
+            if probe.faults is not None:
+                probe.faults.crashpoint("client.commit.before_force")
             flushed = self.rpc.call("force_log_for_commit",
                                     MsgType.COMMIT_REQUEST,
                                     payload=txn.txn_id, args=(txn.txn_id,))
         self.log.prune_stable(flushed)
-        if self.faults is not None:
-            self.faults.crashpoint("client.commit.before_end", self.tracer)
+        if probe.faults is not None:
+            probe.faults.crashpoint("client.commit.before_end")
         txn.state = TxnState.COMMITTED
         end_lsn = self._assign_lsn(NULL_LSN)
         self.log.append(EndRecord(
@@ -719,8 +710,8 @@ class Client:
         ))
         txn.last_lsn = lsn
         self._ship_log_records()
-        if self.faults is not None:
-            self.faults.crashpoint("client.prepare.before_force", self.tracer)
+        if self.probe.faults is not None:
+            self.probe.faults.crashpoint("client.prepare.before_force")
         flushed = self.rpc.call("force_log_for_commit", MsgType.COMMIT_REQUEST,
                                 payload=txn.txn_id, args=(txn.txn_id,))
         self.log.prune_stable(flushed)
@@ -815,8 +806,8 @@ class Client:
             page_id=effect.page_id, op=effect.op, slot=effect.slot,
             after=effect.after, key=effect.key,
         )
-        if self.faults is not None:
-            self.faults.crashpoint("client.rollback.before_clr", self.tracer)
+        if self.probe.faults is not None:
+            self.probe.faults.crashpoint("client.rollback.before_clr")
         self.log.append(clr)
         txn.note_clr(clr_lsn, record.prev_lsn)
         self.clrs_written_locally += 1
@@ -841,10 +832,10 @@ class Client:
     def _finish_transaction(self, txn: Transaction) -> None:
         self.llm.release_transaction(txn.txn_id)
         self.txns.remove(txn.txn_id)
-        if self.sanitizer is not None:
+        if self.probe.sanitizer is not None:
             # Transaction termination ends the acquisition span: no pin
             # may outlive the transaction that took it.
-            self.sanitizer.on_span_exit(self.client_id)
+            self.probe.sanitizer.on_span_exit(self.client_id)
 
     def _after_termination(self) -> None:
         """Commit-time cache policy: ESM-CS purges everything."""
@@ -896,9 +887,8 @@ class Client:
             txn_id=None, prev_lsn=begin.lsn, owner=self.client_id,
             dirty_pages=entries, transactions=self.txns.to_table_entries(),
         )
-        if self.faults is not None:
-            self.faults.crashpoint("client.checkpoint.before_send",
-                                   self.tracer)
+        if self.probe.faults is not None:
+            self.probe.faults.crashpoint("client.checkpoint.before_send")
         _, flushed = self.rpc.call("receive_client_checkpoint",
                                    MsgType.CHECKPOINT,
                                    payload=[begin, end], args=(begin, end))

@@ -119,10 +119,9 @@ class TwoPhaseCoordinator:
                 f"global transaction {gtxn.global_id} is {gtxn.state}"
             )
         gtxn.state = "preparing"
-        faults = self.server.faults
+        faults = self.server.probe.faults
         if faults is not None:
-            faults.crashpoint("coordinator.2pc.before_prepare",
-                              self.server.tracer)
+            faults.crashpoint("coordinator.2pc.before_prepare")
         prepared: List[Tuple[Client, Transaction]] = []
         for client, txn in gtxn.branches:
             try:
@@ -132,13 +131,11 @@ class TwoPhaseCoordinator:
                 self._abort_prepared(gtxn, prepared)
                 return "aborted"
         if faults is not None:
-            faults.crashpoint("coordinator.2pc.before_decision",
-                              self.server.tracer)
+            faults.crashpoint("coordinator.2pc.before_decision")
         self._log_decision(gtxn.global_id)
         gtxn.state = "committed"
         if faults is not None:
-            faults.crashpoint("coordinator.2pc.before_commit_fanout",
-                              self.server.tracer)
+            faults.crashpoint("coordinator.2pc.before_commit_fanout")
         for client, txn in gtxn.branches:
             try:
                 self._call_branch(client, "commit_branch", txn)

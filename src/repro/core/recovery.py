@@ -60,8 +60,6 @@ from dataclasses import dataclass, field
 from heapq import merge
 from itertools import chain
 from typing import (
-    TYPE_CHECKING,
-    Any,
     Callable,
     DefaultDict,
     Dict,
@@ -96,10 +94,8 @@ from repro.core.lsn import LSN, LogAddr, NULL_ADDR, NULL_LSN
 from repro.core.server_log import ServerLogManager
 from repro.errors import RecoveryInvariantError
 from repro.faults import FaultPlan
+from repro.probe import Probe
 from repro.storage.page import Page
-
-if TYPE_CHECKING:
-    from repro.obs.tracer import Tracer
 
 #: What the kernels iterate: a record's log address and peeked header.
 HeaderItem = Tuple[LogAddr, FrameHeader]
@@ -578,16 +574,14 @@ class RecoveryContext:
     rebuild_log_bookkeeping: bool = False
     #: Sees ``(header, addr)`` per scanned record without the full decode.
     header_observer: Optional[Callable[[FrameHeader, LogAddr], None]] = None
-    #: Faults armed for the analysis scan specifically (client recovery
-    #: historically scans analysis unarmed; restart arms it).
-    analysis_faults: Optional[FaultPlan] = None
+    #: Whether the fault plan also arms the analysis scan's per-record
+    #: crashpoint (client recovery historically scans analysis unarmed;
+    #: restart arms it).
+    arm_analysis_scan: bool = False
     logical_undo: Optional[LogicalUndoHandler] = None
-    faults: Optional[FaultPlan] = None
-    tracer: Optional["Tracer"] = None
-    #: The histogram/time-series hub (``repro.obs.hist.MetricsHub``),
-    #: threaded from ``Server.metrics``; ``None`` disables the per-pass
-    #: record histograms and the restart progress meter.
-    metrics: Any = None
+    #: The server's planes: pass spans, crashpoints, the per-pass record
+    #: histograms and the restart progress meter.
+    probe: Probe = field(default_factory=Probe)
     #: Attributes stamped on every pass span (e.g. ``client=C1``).
     span_attrs: Dict[str, object] = field(default_factory=dict)
     #: Extra attributes for the analysis span only (e.g. ``start_addr``).
@@ -617,28 +611,25 @@ def _fire_before(ctx: RecoveryContext, pass_name: str) -> None:
     so the names are spelled out per (flavor, pass) rather than built
     from ``ctx.kind``.
     """
-    if ctx.faults is None:
+    faults = ctx.probe.faults
+    if faults is None:
         return
     restart = ctx.kind == "server-restart"
     if pass_name == "analysis":
         if restart:
-            ctx.faults.crashpoint("server.restart.before_analysis",
-                                  ctx.tracer)
+            faults.crashpoint("server.restart.before_analysis")
         else:
-            ctx.faults.crashpoint("server.client_recovery.before_analysis",
-                                  ctx.tracer)
+            faults.crashpoint("server.client_recovery.before_analysis")
     elif pass_name == "redo":
         if restart:
-            ctx.faults.crashpoint("server.restart.before_redo", ctx.tracer)
+            faults.crashpoint("server.restart.before_redo")
         else:
-            ctx.faults.crashpoint("server.client_recovery.before_redo",
-                                  ctx.tracer)
+            faults.crashpoint("server.client_recovery.before_redo")
     else:
         if restart:
-            ctx.faults.crashpoint("server.restart.before_undo", ctx.tracer)
+            faults.crashpoint("server.restart.before_undo")
         else:
-            ctx.faults.crashpoint("server.client_recovery.before_undo",
-                                  ctx.tracer)
+            faults.crashpoint("server.client_recovery.before_undo")
 
 
 #: Restart progress sampling interval, in scanned records.  Coarse
@@ -660,7 +651,8 @@ def _progress_observer(
     observer (the transaction tracker during restart) sees exactly the
     calls it would have.
     """
-    metrics = ctx.metrics
+    metrics = ctx.probe.metrics
+    assert metrics is not None
     series = metrics.restart_progress
     start = ctx.analysis_scan_start or 0
     series.meta["log_extent"] = max(
@@ -682,29 +674,29 @@ def _analysis_phase(
     ctx: RecoveryContext,
     header_sink: Callable[[LogAddr, FrameHeader], None],
 ) -> AnalysisResult:
-    tracer = ctx.tracer
+    probe = ctx.probe
     span = 0
-    if tracer is not None:
-        span = tracer.begin("recovery", "analysis", "server",
-                            **ctx.span_attrs, **ctx.analysis_span_attrs)
+    if probe.tracer is not None:
+        span = probe.tracer.begin("recovery", "analysis", "server",
+                                  **ctx.span_attrs, **ctx.analysis_span_attrs)
     _fire_before(ctx, "analysis")
     if ctx.analysis_supplier is not None:
         analysis = ctx.analysis_supplier()
     else:
         assert ctx.analysis_scan_start is not None
         header_observer = ctx.header_observer
-        if ctx.metrics is not None:
+        if probe.metrics is not None:
             header_observer = _progress_observer(ctx, header_observer)
         analysis = analysis_pass(
             ctx.log, ctx.analysis_scan_start,
             client_filter=ctx.client_filter,
             rebuild_log_bookkeeping=ctx.rebuild_log_bookkeeping,
-            faults=ctx.analysis_faults,
+            faults=probe.faults if ctx.arm_analysis_scan else None,
             header_sink=header_sink,
             header_observer=header_observer,
         )
-    if tracer is not None:
-        tracer.end(
+    if probe.tracer is not None:
+        probe.tracer.end(
             span,
             records_scanned=analysis.records_scanned,
             by_client=dict(sorted(analysis.records_by_client.items())),
@@ -712,12 +704,12 @@ def _analysis_phase(
             redo_addr=analysis.redo_addr,
             end_addr=analysis.end_addr,
         )
-    if ctx.metrics is not None:
-        ctx.metrics.recovery_pass_records.observe(analysis.records_scanned)
+    if probe.metrics is not None:
+        probe.metrics.recovery_pass_records.observe(analysis.records_scanned)
         # Close the progress meter with the pass total (the in-scan
         # meter samples every _PROGRESS_SAMPLE_EVERY records only).
-        ctx.metrics.restart_progress.sample(
-            ctx.metrics.next_tick(), analysis.records_scanned)
+        probe.metrics.restart_progress.sample(
+            probe.metrics.next_tick(), analysis.records_scanned)
     if ctx.after_analysis is not None:
         ctx.after_analysis(analysis)
     return analysis
@@ -736,12 +728,13 @@ def _redo_phase(ctx: RecoveryContext, analysis: AnalysisResult,
     the supplementary items of a page ahead of its fused ones, so
     address order holds within every page and each page is fetched once.
     """
-    tracer = ctx.tracer
+    probe = ctx.probe
     forwarded = ctx.pre_redo() if ctx.pre_redo is not None else 0
     span = 0
-    if tracer is not None:
-        span = tracer.begin("recovery", "redo", "server", **ctx.span_attrs,
-                            redo_addr=analysis.redo_addr)
+    if probe.tracer is not None:
+        span = probe.tracer.begin("recovery", "redo", "server",
+                                  **ctx.span_attrs,
+                                  redo_addr=analysis.redo_addr)
     _fire_before(ctx, "redo")
     covered_from = (analysis.end_addr if ctx.analysis_scan_start is None
                     else ctx.analysis_scan_start)
@@ -765,13 +758,13 @@ def _redo_phase(ctx: RecoveryContext, analysis: AnalysisResult,
             chain(early.get(page_id, ()), fused.get(page_id, ()))
             for page_id in sorted(analysis.dpl)),
         ctx.pages, dpl=analysis.dpl, client_filter=ctx.client_filter,
-        faults=ctx.faults,
+        faults=probe.faults,
     )
     # The kernel counted worklist items; the pass scanned the headers
     # analysis had not (the fused ones are on the analysis count).
     redo.records_scanned = scanned
     redo.redos_applied += forwarded
-    if tracer is not None:
+    if probe.tracer is not None:
         end_attrs: Dict[str, object] = {
             "records_scanned": redo.records_scanned,
             "records_considered": redo.records_considered,
@@ -781,9 +774,9 @@ def _redo_phase(ctx: RecoveryContext, analysis: AnalysisResult,
         if ctx.pre_redo is not None:
             end_attrs["forwarded_redos"] = forwarded
         end_attrs["by_client"] = dict(sorted(redo.applied_by_client.items()))
-        tracer.end(span, **end_attrs)
-    if ctx.metrics is not None:
-        ctx.metrics.recovery_pass_records.observe(redo.records_scanned)
+        probe.tracer.end(span, **end_attrs)
+    if probe.metrics is not None:
+        probe.metrics.recovery_pass_records.observe(redo.records_scanned)
     return redo
 
 
@@ -826,25 +819,25 @@ def _resolve_chains(ctx: RecoveryContext, losers: Dict[str, RestartTxn]
 
 def _undo_phase(ctx: RecoveryContext, losers: Dict[str, RestartTxn]
                 ) -> UndoStats:
-    tracer = ctx.tracer
+    probe = ctx.probe
     span = 0
-    if tracer is not None:
-        span = tracer.begin("recovery", "undo", "server", **ctx.span_attrs,
-                            losers=len(losers))
+    if probe.tracer is not None:
+        span = probe.tracer.begin("recovery", "undo", "server",
+                                  **ctx.span_attrs, losers=len(losers))
     _fire_before(ctx, "undo")
     undo = undo_kernel(ctx.log, _resolve_chains(ctx, losers), losers,
                        ctx.pages, ctx.clr_writer, ctx.logical_undo,
-                       ctx.faults)
-    if tracer is not None:
-        tracer.end(
+                       probe.faults)
+    if probe.tracer is not None:
+        probe.tracer.end(
             span,
             records_scanned=undo.records_scanned,
             clrs_written=undo.clrs_written,
             txns_rolled_back=undo.txns_rolled_back,
             by_client=dict(sorted(undo.clrs_by_client.items())),
         )
-    if ctx.metrics is not None:
-        ctx.metrics.recovery_pass_records.observe(undo.records_scanned)
+    if probe.metrics is not None:
+        probe.metrics.recovery_pass_records.observe(undo.records_scanned)
     return undo
 
 

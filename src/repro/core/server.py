@@ -21,7 +21,7 @@ The server provides every service the paper assigns to it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.config import ClientRecoveryInfo, SystemConfig
 from repro.core.commit_lsn import GlobalTransactionTracker
@@ -56,21 +56,18 @@ from repro.errors import (
     RecoveryError,
     WALViolationError,
 )
-from repro.faults import FaultPlan, io_retry
+from repro.faults import io_retry
 from repro.locking.glm import GlobalLockManager, LockDenied
 from repro.locking.lock_modes import LockMode
 from repro.net.messages import MsgType
 from repro.net.network import Network
 from repro.net.rpc import RpcDispatcher, RpcStub
+from repro.probe import Probe
 from repro.storage.archive import Archive
 from repro.storage.buffer_pool import BufferControlBlock, BufferPool
 from repro.storage.disk import Disk
 from repro.storage.page import Page, PageKind
 from repro.storage.space_map import SpaceMapLayout
-
-if TYPE_CHECKING:
-    from repro.obs.tracer import Tracer
-    from repro.sanitizer import Sanitizer
 
 
 @dataclass
@@ -127,22 +124,26 @@ class Server:
     node_id = SERVER_ID
 
     def __init__(self, config: SystemConfig, network: Network,
-                 node_id: Optional[str] = None) -> None:
+                 node_id: Optional[str] = None,
+                 probe: Optional[Probe] = None) -> None:
         self.config = config
         self.network = network
+        #: The owning complex's planes, handed to everything built here.
+        self.probe = probe if probe is not None else Probe()
         if node_id is not None:
             # Failover promotion builds a second Server around the
             # standby's replicas; it keeps its own network identity so
             # the fenced old primary's node id stays distinct.
             self.node_id = node_id
-        self.disk = Disk()
-        self.log = ServerLogManager(config.group_commit_window)
-        self.glm = GlobalLockManager()
+        self.disk = Disk(self.probe)
+        self.log = ServerLogManager(config.group_commit_window, self.probe)
+        self.glm = GlobalLockManager(self.probe)
         self.tracker = GlobalTransactionTracker()
-        self.archive = Archive()
+        self.archive = Archive(self.probe)
         self.layout = SpaceMapLayout(config.smp_coverage)
         self.pool = BufferPool(
-            config.server_buffer_frames, "server-pool", on_evict=self._write_back
+            config.server_buffer_frames, "server-pool",
+            on_evict=self._write_back, probe=self.probe,
         )
         network.register(self.node_id)
         self.dispatcher = RpcDispatcher(self.node_id)
@@ -223,17 +224,6 @@ class Server:
         self.last_recovery: Optional[RecoveryReport] = None
         self.recovery_reports: List[RecoveryReport] = []
 
-        #: Attached by the owning complex; ``None`` disables the hooks.
-        self.tracer: Optional["Tracer"] = None
-        #: Attached by the owning complex; ``None`` disables injection.
-        self.faults: Optional[FaultPlan] = None
-        #: Attached by the owning complex; ``None`` disables the runtime
-        #: WAL sanitizer (repro.sanitizer).
-        self.sanitizer: Optional["Sanitizer"] = None
-        #: Attached by the owning complex; ``None`` disables the
-        #: recovery histograms / restart progress meter (repro.obs.hist).
-        self.metrics: Any = None
-
     # ------------------------------------------------------------------
     # RPC dispatch table (what clients may invoke on the server)
     # ------------------------------------------------------------------
@@ -288,9 +278,8 @@ class Server:
         allocated data page ids.
         """
         from repro.storage import space_map as sm
-        if self.faults is not None:
-            self.faults.crashpoint("server.bootstrap.before_format",
-                                   self.tracer)
+        if self.probe.faults is not None:
+            self.probe.faults.crashpoint("server.bootstrap.before_format")
         allocated: List[int] = []
         total_needed = data_pages + free_pages
         covered = 0
@@ -321,11 +310,12 @@ class Server:
     def _disk_write(self, page: Page) -> None:
         """One database-disk page write, retried through the fault
         plane's deterministic transient-I/O policy."""
-        if self.faults is not None:
-            self.faults.crashpoint("disk.write.before", self.tracer)
-        if self.sanitizer is not None:
-            self.sanitizer.on_page_externalize(page.page_id, page.page_lsn)
-        io_retry(self.faults, lambda: self.disk.write_page(page),
+        probe = self.probe
+        if probe.faults is not None:
+            probe.faults.crashpoint("disk.write.before")
+        if probe.sanitizer is not None:
+            probe.sanitizer.on_page_externalize(page.page_id, page.page_lsn)
+        io_retry(probe.faults, lambda: self.disk.write_page(page),
                  "disk.write")
 
     # ------------------------------------------------------------------
@@ -671,9 +661,8 @@ class Server:
         """
         self._require_up()
         self._interaction(client_id)
-        if self.faults is not None:
-            self.faults.crashpoint("server.log_ship.before_append",
-                                   self.tracer)
+        if self.probe.faults is not None:
+            self.probe.faults.crashpoint("server.log_ship.before_append")
         assigned = self.log.append_from_client(client_id, records)
         for record, (_, addr) in zip(records, assigned):
             self.tracker.observe(record, addr)
@@ -692,8 +681,8 @@ class Server:
         (section 2.1) — which is what makes deferral crash-safe.
         """
         self._require_up()
-        if self.faults is not None:
-            self.faults.crashpoint("server.commit.before_force", self.tracer)
+        if self.probe.faults is not None:
+            self.probe.faults.crashpoint("server.commit.before_force")
         flushed = self.log.commit_force()
         self.commit_forces += 1
         if self.replication is not None:
@@ -892,25 +881,25 @@ class Server:
         self._flush_bcb(bcb)
 
     def _flush_bcb(self, bcb: BufferControlBlock) -> None:
+        probe = self.probe
         if bcb.force_addr != NULL_ADDR and not self.log.stable.is_stable(bcb.force_addr):
-            if self.tracer is not None:
-                self.tracer.instant("log", "wal_force_on_evict", "server",
-                                    page_id=bcb.page_id,
-                                    force_addr=bcb.force_addr)
-            if self.faults is not None:
-                self.faults.crashpoint("server.flush.before_force",
-                                       self.tracer)
+            if probe.tracer is not None:
+                probe.tracer.instant("log", "wal_force_on_evict", "server",
+                                     page_id=bcb.page_id,
+                                     force_addr=bcb.force_addr)
+            if probe.faults is not None:
+                probe.faults.crashpoint("server.flush.before_force")
             self.log.force(bcb.force_addr)
             self.wal_forces += 1
         if bcb.force_addr != NULL_ADDR and not self.log.stable.is_stable(bcb.force_addr):
             raise WALViolationError(
                 f"page {bcb.page_id} would reach disk before log addr {bcb.force_addr}"
             )
-        if self.faults is not None:
-            self.faults.crashpoint("server.flush.before_write", self.tracer)
+        if probe.faults is not None:
+            probe.faults.crashpoint("server.flush.before_write")
         self._disk_write(bcb.page)
-        if self.faults is not None:
-            self.faults.crashpoint("server.flush.after_write", self.tracer)
+        if probe.faults is not None:
+            probe.faults.crashpoint("server.flush.after_write")
         if bcb.covered_addr != NULL_ADDR:
             self.glm.advance_rec_addr(bcb.page_id, bcb.covered_addr)
         bcb.dirty = False
@@ -968,16 +957,15 @@ class Server:
             floor = self._rec_addr_floor.get(entry.page_id)
             if floor is None or entry.rec_addr < floor:
                 self._rec_addr_floor[entry.page_id] = entry.rec_addr
+        probe = self.probe
         # Force both checkpoint records before the master names their
         # address: a crash truncates the unforced tail and reuses its
         # addresses, so an unforced begin_addr would dangle (REC021).
-        if self.faults is not None:
-            self.faults.crashpoint("server.client_checkpoint.before_force",
-                                   self.tracer)
+        if probe.faults is not None:
+            probe.faults.crashpoint("server.client_checkpoint.before_force")
         self.log.force(end_pair[1])
-        if self.faults is not None:
-            self.faults.crashpoint("server.client_checkpoint.before_master",
-                                   self.tracer)
+        if probe.faults is not None:
+            probe.faults.crashpoint("server.client_checkpoint.before_master")
         self._master["client_ckpts"][client_id] = begin_addr
         self._appends_since_ckpt += 2
         return [(begin.lsn, begin_addr), end_pair], self.log.flushed_addr
@@ -994,8 +982,9 @@ class Server:
         transaction known to the tracker.
         """
         self._require_up()
-        if self.faults is not None:
-            self.faults.crashpoint("server.checkpoint.begin", self.tracer)
+        probe = self.probe
+        if probe.faults is not None:
+            probe.faults.crashpoint("server.checkpoint.begin")
         begin = BeginCheckpointRecord(
             lsn=self.log.clock.next_lsn(NULL_LSN),
             client_id=SERVER_ID, txn_id=None, prev_lsn=NULL_LSN,
@@ -1051,20 +1040,17 @@ class Server:
             owner=SERVER_ID, dirty_pages=entries, transactions=txn_entries,
         )
         end_addr = self.log.append_local(end)
-        if self.faults is not None:
-            self.faults.crashpoint("server.checkpoint.before_force",
-                                   self.tracer)
+        if probe.faults is not None:
+            probe.faults.crashpoint("server.checkpoint.before_force")
         self.log.force(end_addr)
         # The master-record update is the checkpoint's commit point
         # (section 2.5.2): a crash on either side of it must leave a
         # reachable checkpoint — the previous one before, this one after.
-        if self.faults is not None:
-            self.faults.crashpoint("server.checkpoint.before_master",
-                                   self.tracer)
+        if probe.faults is not None:
+            probe.faults.crashpoint("server.checkpoint.before_master")
         self._master["server_ckpt_begin_addr"] = begin_addr
-        if self.faults is not None:
-            self.faults.crashpoint("server.checkpoint.after_master",
-                                   self.tracer)
+        if probe.faults is not None:
+            probe.faults.crashpoint("server.checkpoint.after_master")
         if self.replication is not None:
             # Checkpoints advance the shipped master copy: a standby
             # bootstrapped from it can start analysis at this begin
@@ -1102,8 +1088,11 @@ class Server:
         it grew while observing the ship stream, then rolls the
         unapplied log tail forward with :meth:`restart`.  The server is
         left marked crashed on purpose: :meth:`restart` is the only
-        legal next step.
+        legal next step.  The replicas join this server's probe here:
+        no plane reaches them while they are the standby's.
         """
+        log.probe = log.stable.probe = log.group.probe = self.probe
+        disk.probe = self.probe
         self.log = log
         self.disk = disk
         self.tracker = tracker
@@ -1166,10 +1155,10 @@ class Server:
                 client_id for client_id in self._clients
                 if not self.network.is_up(client_id)
             }
-        tracer = self.tracer
+        probe = self.probe
         root_span = 0
-        if tracer is not None:
-            root_span = tracer.begin(
+        if probe.tracer is not None:
+            root_span = probe.tracer.begin(
                 "recovery", "server-restart", "server",
                 failed_clients=sorted(failed_clients),
             )
@@ -1259,11 +1248,9 @@ class Server:
             analysis_scan_start=start_addr,
             rebuild_log_bookkeeping=True,
             header_observer=self.tracker.observe_header,
-            analysis_faults=self.faults,
+            arm_analysis_scan=True,
             logical_undo=self.logical_undo_handler,
-            faults=self.faults,
-            tracer=tracer,
-            metrics=self.metrics,
+            probe=probe,
             analysis_span_attrs={"start_addr": start_addr},
             after_analysis=_after_analysis,
             loser_filter=_restart_losers,
@@ -1272,9 +1259,8 @@ class Server:
 
         # Rebuild the volatile lock table and coherency map from the
         # operational clients, and collect in-doubt info for failed ones.
-        if self.faults is not None:
-            self.faults.crashpoint("server.restart.before_lock_rebuild",
-                                   tracer)
+        if probe.faults is not None:
+            probe.faults.crashpoint("server.restart.before_lock_rebuild")
         for client_id in sorted(self._clients):
             if self.network.is_up(client_id):
                 client = self._clients[client_id]
@@ -1315,9 +1301,9 @@ class Server:
         )
         self.last_recovery = report
         self.recovery_reports.append(report)
-        if self.tracer is not None:
-            self.tracer.end(root_span,
-                            total_records=report.total_log_records_processed)
+        if self.probe.tracer is not None:
+            self.probe.tracer.end(
+                root_span, total_records=report.total_log_records_processed)
         return report
 
     def _stash_indoubt(self, client_id: str, analysis: AnalysisResult,
@@ -1373,11 +1359,11 @@ class Server:
         """
         self._require_up()
         self.dispatcher.forget(client_id)
-        tracer = self.tracer
+        probe = self.probe
         root_span = 0
-        if tracer is not None:
-            root_span = tracer.begin("recovery", "client-recovery", "server",
-                                     client=client_id)
+        if probe.tracer is not None:
+            root_span = probe.tracer.begin(
+                "recovery", "client-recovery", "server", client=client_id)
 
         def _rebuild_forwarded() -> int:
             # Pages whose forwarded dirty versions died with this client
@@ -1405,9 +1391,7 @@ class Server:
             kind="client-recovery",
             client_filter={client_id},
             logical_undo=self.logical_undo_handler,
-            faults=self.faults,
-            tracer=tracer,
-            metrics=self.metrics,
+            probe=probe,
             span_attrs={"client": client_id},
             pre_redo=_rebuild_forwarded,
         )
@@ -1441,9 +1425,8 @@ class Server:
         # post-checkpoint log record witnesses them: without a fresh DPL
         # a server crash before the next checkpoint would silently skip
         # them during restart redo and lose committed updates.
-        if self.faults is not None:
-            self.faults.crashpoint("server.client_recovery.before_checkpoint",
-                                   tracer)
+        if probe.faults is not None:
+            probe.faults.crashpoint("server.client_recovery.before_checkpoint")
         self.take_checkpoint()
 
         return self._file_report(f"client-recovery:{client_id}", result,
@@ -1543,9 +1526,9 @@ class Server:
         whole lineage — its format record included — is in the log),
         roll forward, and heal the disk copy under WAL.
         """
-        if self.tracer is not None:
-            self.tracer.instant("recovery", "torn_page", "server",
-                                page_id=page_id)
+        if self.probe.tracer is not None:
+            self.probe.tracer.instant("recovery", "torn_page", "server",
+                                      page_id=page_id)
         if self.archive.has_backup(page_id):
             page, redo_start = self.archive.restore_page(page_id)
         else:
@@ -1615,20 +1598,21 @@ class Server:
         the backup; the recovered image is written back to disk.
         """
         self._require_up()
-        if self.faults is not None:
-            self.faults.crashpoint("server.media.before_restore", self.tracer)
+        probe = self.probe
+        if probe.faults is not None:
+            probe.faults.crashpoint("server.media.before_restore")
         page, redo_start = self.archive.restore_page(page_id)
-        if self.tracer is not None:
-            self.tracer.instant("recovery", "media_recover", "server",
-                                page_id=page_id, redo_start=redo_start)
+        if probe.tracer is not None:
+            probe.tracer.instant("recovery", "media_recover", "server",
+                                      page_id=page_id, redo_start=redo_start)
         applied = self._roll_page_forward(page, redo_start)
         # WAL: the roll-forward replays records from the volatile log
         # tail, so the rebuilt image may carry a page_LSN past the
         # forced prefix.  Force through end-of-log before the image
         # reaches disk, or a crash would leave the page ahead of the log.
         self.log.force(self.log.end_of_log_addr)
-        if self.faults is not None:
-            self.faults.crashpoint("server.media.before_write", self.tracer)
+        if probe.faults is not None:
+            probe.faults.crashpoint("server.media.before_write")
         self._disk_write(page)
         bcb = self.pool.bcb(page_id)
         if bcb is not None:
@@ -1724,9 +1708,8 @@ class Server:
             if bcb.rec_addr != NULL_ADDR:
                 bounds.append(bcb.rec_addr)
         redo_start = min(bounds) if bounds else self.log.end_of_log_addr
-        if self.faults is not None:
-            self.faults.crashpoint("server.backup.before_archive",
-                                   self.tracer)
+        if self.probe.faults is not None:
+            self.probe.faults.crashpoint("server.backup.before_archive")
         return self.archive.backup_from_disk(self.disk, redo_start)
 
     # ------------------------------------------------------------------

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import bisect
 from typing import (
-    TYPE_CHECKING,
-    Any,
     Dict,
     Iterator,
     List,
@@ -39,10 +37,8 @@ from typing import (
 from repro.core.log_records import FrameHeader, LogRecord
 from repro.core.lsn import LSN, LogAddr, LsnClock, NULL_ADDR
 from repro.errors import RecoveryInvariantError
+from repro.probe import Probe
 from repro.storage.stable_log import StableLog
-
-if TYPE_CHECKING:
-    from repro.obs.tracer import Tracer
 
 
 class GroupForceScheduler:
@@ -69,14 +65,12 @@ class GroupForceScheduler:
     force counts byte for byte.
     """
 
-    def __init__(self, stable: StableLog, window: int = 0) -> None:
+    def __init__(self, stable: StableLog, window: int = 0,
+                 probe: Optional[Probe] = None) -> None:
         self.stable = stable
         self.window = window
-        #: Attached by the owning complex; ``None`` disables the hooks.
-        self.tracer: Optional["Tracer"] = None
-        #: Attached by the owning complex; ``None`` disables the
-        #: group-commit batch-size histogram (repro.obs.hist).
-        self.metrics: Any = None
+        #: The owning complex's planes (tracer, metrics).
+        self.probe = probe if probe is not None else Probe()
         self.commit_requests = 0
         self.sync_requests = 0
         #: Device forces that covered more than one deferred commit.
@@ -112,9 +106,9 @@ class GroupForceScheduler:
         self._pending += 1
         if target > self._pending_target:
             self._pending_target = target
-        if self.tracer is not None:
-            self.tracer.instant("log", "commit_force_deferred", "server",
-                                pending=self._pending, target=target)
+        if self.probe.tracer is not None:
+            self.probe.tracer.instant("log", "commit_force_deferred", "server",
+                                      pending=self._pending, target=target)
         if self._pending >= self.window:
             self.flush_pending()
         return self.stable.flushed_addr
@@ -132,11 +126,12 @@ class GroupForceScheduler:
         if self.stable.forces > before:
             self.group_forces += 1
             self.forces_saved += riders - 1
-            if self.tracer is not None:
-                self.tracer.instant("log", "group_force", "server",
-                                    riders=riders, target=target)
-            if self.metrics is not None:
-                self.metrics.group_commit_batch.observe(riders)
+            probe = self.probe
+            if probe.tracer is not None:
+                probe.tracer.instant("log", "group_force", "server",
+                                     riders=riders, target=target)
+            if probe.metrics is not None:
+                probe.metrics.group_commit_batch.observe(riders)
         else:
             # An interleaved synchronous force already covered the group.
             self.forces_saved += riders
@@ -159,11 +154,12 @@ class GroupForceScheduler:
         if riders:
             if self.stable.forces > before:
                 self.group_forces += 1
-                if self.tracer is not None:
-                    self.tracer.instant("log", "group_force", "server",
-                                        riders=riders, sync=True)
-                if self.metrics is not None:
-                    self.metrics.group_commit_batch.observe(riders)
+                probe = self.probe
+                if probe.tracer is not None:
+                    probe.tracer.instant("log", "group_force", "server",
+                                         riders=riders, sync=True)
+                if probe.metrics is not None:
+                    probe.metrics.group_commit_batch.observe(riders)
             self.forces_saved += riders
 
     def note_crash(self) -> None:
@@ -175,9 +171,14 @@ class GroupForceScheduler:
 class ServerLogManager:
     """Stable log ownership plus the LSN/address bookkeeping of CSA."""
 
-    def __init__(self, group_commit_window: int = 0) -> None:
-        self.stable = StableLog()
-        self.group = GroupForceScheduler(self.stable, group_commit_window)
+    def __init__(self, group_commit_window: int = 0,
+                 probe: Optional[Probe] = None) -> None:
+        #: The owning complex's planes, handed to the stable log and the
+        #: group scheduler.
+        self.probe = probe if probe is not None else Probe()
+        self.stable = StableLog(self.probe)
+        self.group = GroupForceScheduler(self.stable, group_commit_window,
+                                         self.probe)
         #: The server's own LSN stream (checkpoint records, CLRs written
         #: on behalf of failed clients, server-resident transactions).
         self.clock = LsnClock()
@@ -186,16 +187,6 @@ class ServerLogManager:
         self._client_index: Dict[str, Tuple[List[LogAddr], List[LSN]]] = {}
         self._last_addr_from: Dict[str, LogAddr] = {}
         self.client_records_received = 0
-
-    def attach_tracer(self, tracer: "Tracer") -> None:
-        """Enable tracing on the stable log and the group scheduler."""
-        self.stable.tracer = tracer
-        self.group.tracer = tracer
-
-    def attach_metrics(self, hub: Any) -> None:
-        """Enable the force/group-commit histograms (repro.obs.hist)."""
-        self.stable.metrics = hub
-        self.group.metrics = hub
 
     # -- appending ----------------------------------------------------------
 

@@ -24,6 +24,7 @@ from repro.net.rpc import transport_from_config
 from repro.obs.flight import FlightRecorder
 from repro.obs.hist import MetricsHub
 from repro.obs.tracer import Tracer
+from repro.probe import Probe
 from repro.records.heap import RecordId, decode_value
 from repro.sanitizer import Sanitizer
 from repro.storage.page import Page
@@ -38,29 +39,18 @@ class ClientServerSystem:
     def __init__(self, config: Optional[SystemConfig] = None,
                  client_ids: Iterable[str] = ("C1", "C2")) -> None:
         self.config = config if config is not None else SystemConfig()
+        #: The complex's instrumentation planes, one field each; the
+        #: ``attach_*`` methods below set them (DESIGN §9, "Probe").
+        self.probe = Probe()
         self.network = Network(
             transport=transport_from_config(self.config),
             trace_depth=self.config.message_trace_depth,
+            probe=self.probe,
         )
-        self.server = Server(self.config, self.network)
+        self.server = Server(self.config, self.network, probe=self.probe)
         self.clients: Dict[str, Client] = {}
-        #: Present only when tracing is on; attachment IS the enable
-        #: switch — unattached hooks cost one pointer comparison.
-        self.tracer: Optional[Tracer] = None
-        #: Present only when fault injection is on; same attachment
-        #: pattern as the tracer.
-        self.faults: Optional[FaultPlan] = None
-        #: Present only when the runtime latch/lock-order sanitizer is
-        #: on; same attachment pattern as the tracer.
-        self.sanitizer: Optional[Sanitizer] = None
-        #: Present only when the histogram/time-series plane is on;
-        #: same attachment pattern as the tracer.
-        self.metrics: Optional[MetricsHub] = None
-        #: Present only when the crash flight recorder is armed; fed by
-        #: the tracer's per-event tap.
-        self.flight: Optional[FlightRecorder] = None
-        #: Present only when the warm standby is on; same attachment
-        #: pattern as the tracer (DESIGN §15).
+        #: Present only when the warm standby is on; attachment is the
+        #: enable switch (DESIGN §15).
         self.replication: Optional["ReplicationManager"] = None
         if self.config.trace_enabled:
             self.attach_tracer(Tracer())
@@ -87,40 +77,20 @@ class ClientServerSystem:
     # -- observability -----------------------------------------------------
 
     def attach_tracer(self, tracer: Tracer) -> None:
-        """Attach ``tracer`` to every instrumented object of the complex.
+        """Trace the whole complex into ``tracer``, replacing any other.
 
-        Idempotent per object: attaching replaces any previous tracer.
-        Clients added later are attached by :meth:`add_client`.
+        An armed flight recorder keeps tapping the new tracer, and the
+        fault plan emits its instants into it.
         """
-        self.tracer = tracer
-        self.network.tracer = tracer
-        self.server.tracer = tracer
-        self.server.pool.tracer = tracer
-        self.server.log.attach_tracer(tracer)
-        if self.faults is not None:
-            self.faults.tracer = tracer
-        for client in self.clients.values():
-            self._attach_client_tracer(client)
-
-    def _attach_client_tracer(self, client: Client) -> None:
-        assert self.tracer is not None
-        client.tracer = self.tracer
-        client.pool.tracer = self.tracer
-        client.llm.tracer = self.tracer
+        probe = self.probe
+        probe.tracer = tracer
+        tracer.flight = probe.flight
+        if probe.faults is not None:
+            probe.faults.tracer = tracer
 
     def attach_metrics(self, hub: MetricsHub) -> None:
-        """Attach the histogram/time-series hub to every observation site.
-
-        The mirror of :meth:`attach_tracer`: attachment IS the enable
-        switch, so a complex without a hub pays one pointer comparison
-        per observation site.  The engine (``repro.engine``) reads
-        ``system.metrics`` directly; restart recovery receives the hub
-        through ``RecoveryContext.metrics``.
-        """
-        self.metrics = hub
-        self.network.metrics = hub
-        self.server.metrics = hub
-        self.server.log.attach_metrics(hub)
+        """Observe the complex's histograms and time series into ``hub``."""
+        self.probe.metrics = hub
 
     def attach_flight(self, recorder: FlightRecorder) -> None:
         """Arm the crash flight recorder (tapping the tracer's stream).
@@ -128,11 +98,11 @@ class ClientServerSystem:
         The recorder needs a trace stream to ring-buffer, so arming a
         complex with no tracer attaches one first.
         """
-        tracer = self.tracer
+        tracer = self.probe.tracer
         if tracer is None:
             tracer = Tracer()
             self.attach_tracer(tracer)
-        self.flight = recorder
+        self.probe.flight = recorder
         tracer.flight = recorder
 
     # -- replication -------------------------------------------------------
@@ -140,10 +110,10 @@ class ClientServerSystem:
     def attach_replication(self) -> "ReplicationManager":
         """Stand up the warm standby and start shipping (DESIGN §15).
 
-        The mirror of :meth:`attach_tracer`: attachment IS the enable
-        switch.  A complex without a manager has ``server.replication``
-        set to None and every ship hook costs one pointer comparison —
-        replication off is byte-for-byte the pre-replication complex.
+        Attachment is the enable switch: a complex without a manager has
+        ``server.replication`` set to None and every ship hook costs one
+        pointer comparison — replication off is byte-for-byte the
+        pre-replication complex.
         """
         from repro.replication.manager import ReplicationManager
 
@@ -155,70 +125,35 @@ class ClientServerSystem:
     # -- fault injection ---------------------------------------------------
 
     def attach_faults(self, plan: FaultPlan) -> None:
-        """Attach ``plan`` to every instrumented object of the complex.
+        """Inject ``plan``'s faults into the complex.
 
-        The mirror of :meth:`attach_tracer`: attachment IS the enable
-        switch, so a complex without a plan pays one pointer comparison
-        per hook.  The network transport is attached separately via
+        The network transport is attached separately via
         ``SystemConfig.fault_plan`` (``transport_from_config`` folds the
         drop/delay RNG under the plan's ``transport`` namespace).
         """
-        self.faults = plan
-        plan.tracer = self.tracer
-        self.network.faults = plan
-        self.server.faults = plan
-        self.server.disk.faults = plan
-        self.server.archive.faults = plan
-        self.server.pool.faults = plan
-        self.server.log.stable.faults = plan
-        for client in self.clients.values():
-            self._attach_client_faults(client)
-
-    def _attach_client_faults(self, client: Client) -> None:
-        assert self.faults is not None
-        client.faults = self.faults
-        client.pool.faults = self.faults
+        self.probe.faults = plan
+        plan.tracer = self.probe.tracer
 
     # -- runtime sanitizer -------------------------------------------------
 
     def attach_sanitizer(self, sanitizer: Sanitizer) -> None:
-        """Attach ``sanitizer`` to every latch/lock/log hook of the complex.
+        """Check every latch/lock/log hook of the complex with ``sanitizer``.
 
-        The mirror of :meth:`attach_tracer`: attachment IS the enable
-        switch, so a complex without a sanitizer pays one pointer
-        comparison per hook.  One instance watches the whole complex —
-        the acquisition-order memory must span actors to catch an
-        inversion split across two clients.
+        One instance watches the whole complex — the acquisition-order
+        memory must span actors to catch an inversion split across two
+        clients.
         """
-        self.sanitizer = sanitizer
-        self.server.sanitizer = sanitizer
-        self.server.pool.sanitizer = sanitizer
-        self.server.log.stable.sanitizer = sanitizer
-        self.server.glm.logical.sanitizer = sanitizer
-        self.server.glm.physical.sanitizer = sanitizer
-        for client in self.clients.values():
-            self._attach_client_sanitizer(client)
-
-    def _attach_client_sanitizer(self, client: Client) -> None:
-        assert self.sanitizer is not None
-        client.sanitizer = self.sanitizer
-        client.pool.sanitizer = self.sanitizer
-        client.llm.local.sanitizer = self.sanitizer
+        self.probe.sanitizer = sanitizer
 
     # -- topology ----------------------------------------------------------
 
     def add_client(self, client_id: str) -> Client:
         if client_id in self.clients:
             raise ReproError(f"client id {client_id} already in use")
-        client = Client(client_id, self.config, self.network, self.server)
+        client = Client(client_id, self.config, self.network, self.server,
+                        probe=self.probe)
         client.table_of = self._page_table.get
         self.clients[client_id] = client
-        if self.tracer is not None:
-            self._attach_client_tracer(client)
-        if self.faults is not None:
-            self._attach_client_faults(client)
-        if self.sanitizer is not None:
-            self._attach_client_sanitizer(client)
         return client
 
     def client(self, client_id: str) -> Client:

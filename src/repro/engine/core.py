@@ -176,6 +176,8 @@ class Engine:
 
     def __init__(self, system: ClientServerSystem) -> None:
         self.system = system
+        #: The complex's planes (sanitizer spans, wait/latency metrics).
+        self.probe = system.probe
         self.graph = WaitsForGraph()
         self._ready: Deque[ScheduledTxn] = deque()
         #: Parked waiters by transaction id (insertion = park order).
@@ -263,13 +265,13 @@ class Engine:
         except LockConflictError as conflict:
             self._park(scheduled, conflict)
             return
-        sanitizer = self.system.sanitizer
+        sanitizer = self.probe.sanitizer
         if sanitizer is not None:
             # Each completed operation ends the client's acquisition
             # span: a pin surviving it would span arbitrary other work.
             sanitizer.on_span_exit(scheduled.client_id)
         if scheduled.park_tick >= 0:
-            metrics = self.system.metrics
+            metrics = self.probe.metrics
             if metrics is not None:
                 metrics.lock_wait_ticks.observe(
                     self._tick - scheduled.park_tick)
@@ -309,7 +311,7 @@ class Engine:
 
     def _park(self, scheduled: ScheduledTxn,
               conflict: LockConflictError) -> None:
-        sanitizer = self.system.sanitizer
+        sanitizer = self.probe.sanitizer
         if sanitizer is not None:
             # The conflict unwind released every pin; a latch still held
             # here would sit across the whole wait.
@@ -397,10 +399,10 @@ class Engine:
         waiters parked under its id and under its client's id (cached
         global locks become relinquishable once the client is idle)."""
         scheduled.end_tick = self._tick
-        sanitizer = self.system.sanitizer
+        sanitizer = self.probe.sanitizer
         if sanitizer is not None:
             sanitizer.on_span_exit(scheduled.client_id)
-        metrics = self.system.metrics
+        metrics = self.probe.metrics
         if metrics is not None:
             if scheduled.begin_tick >= 0:
                 metrics.txn_latency_ticks.observe(

@@ -6,9 +6,8 @@ hand-written crash test happens to pick.  This module gives the
 simulation one deterministic chaos source:
 
 * :class:`FaultPlan` — carried by :class:`~repro.config.SystemConfig`
-  and attached to every instrumented object of the complex (the same
-  attachment-IS-the-enable-switch pattern as the tracer: an unattached
-  ``faults`` attribute costs one pointer comparison).  The plan owns a
+  and attached as the complex probe's ``faults`` plane (DESIGN §9,
+  "Probe"; an unattached plan costs each hook one guard).  The plan owns a
   single seed from which every *namespace* ("transport", "disk", "log")
   derives its own :class:`random.Random` stream, so transport drops,
   torn page writes, transient I/O errors and partial log flushes replay
@@ -172,7 +171,8 @@ class FaultPlan:
     #: crash-during-recovery schedules compose naturally).
     schedule: Tuple[Tuple[str, int], ...] = ()
 
-    #: Attached by the owning complex; fault instants are emitted here.
+    #: The complex's tracer, kept in sync by its ``attach_*`` methods;
+    #: fault instants are emitted here.
     tracer: Optional["Tracer"] = field(default=None, repr=False,
                                        compare=False)
 
@@ -212,13 +212,13 @@ class FaultPlan:
         """
         self._partitions.add((a, b))
         self._partitions.add((b, a))
-        self._instant(self.tracer, "partition", src=a, dst=b)
+        self._instant("partition", src=a, dst=b)
 
     def heal(self, a: str, b: str) -> None:
         """Restore the link between two nodes (both directions)."""
         self._partitions.discard((a, b))
         self._partitions.discard((b, a))
-        self._instant(self.tracer, "heal", src=a, dst=b)
+        self._instant("heal", src=a, dst=b)
 
     def is_partitioned(self, src: str, dst: str) -> bool:
         return (src, dst) in self._partitions
@@ -243,11 +243,10 @@ class FaultPlan:
 
     # -- crashpoints ------------------------------------------------------
 
-    def crashpoint(self, name: str, tracer: Optional["Tracer"] = None) -> None:
+    def crashpoint(self, name: str) -> None:
         """Note one pass through the named site; crash if armed for it.
 
-        Call sites guard with ``if self.faults is not None`` so the
-        disabled cost is one pointer comparison.  Raises
+        Call sites guard with ``if probe.faults is not None``.  Raises
         :class:`CrashPointReached` when the current schedule leg names
         this site and its per-leg hit count is reached.
         """
@@ -264,7 +263,7 @@ class FaultPlan:
         self._next_leg = leg + 1
         self._leg_hits = {}
         self.faults_injected += 1
-        self._instant(tracer, "crashpoint", point=name, leg=leg)
+        self._instant("crashpoint", point=name, leg=leg)
         raise CrashPointReached(name, leg)
 
     def hit_counts(self) -> Dict[str, int]:
@@ -296,7 +295,7 @@ class FaultPlan:
         self.torn_writes += 1
         self.faults_injected += 1
         torn = size // 2
-        self._instant(None, "torn_write", page_id=page_id,
+        self._instant("torn_write", page_id=page_id,
                       kept_bytes=torn, lost_bytes=size - torn)
         return torn
 
@@ -313,7 +312,7 @@ class FaultPlan:
         if self.rng("disk").random() < self.io_error_rate:
             self._io_failures[what] = streak + 1
             self.faults_injected += 1
-            self._instant(None, "io_error", what=what, key=key,
+            self._instant("io_error", what=what, key=key,
                           attempt=streak + 1)
             raise TransientIOError(what, streak + 1)
         self._io_failures[what] = 0
@@ -321,7 +320,7 @@ class FaultPlan:
     def note_io_retry(self, what: str) -> None:
         """Account one retry of a transiently failed I/O."""
         self.io_retries += 1
-        self._instant(None, "io_retry", what=what)
+        self._instant("io_retry", what=what)
 
     # -- log faults -------------------------------------------------------
 
@@ -341,7 +340,7 @@ class FaultPlan:
             return 0
         survivors = stream.randint(1, unforced_frames)
         self.faults_injected += 1
-        self._instant(None, "partial_flush", survivors=survivors,
+        self._instant("partial_flush", survivors=survivors,
                       unforced=unforced_frames)
         return survivors
 
@@ -350,15 +349,13 @@ class FaultPlan:
     def note_transport_fault(self, kind: str) -> None:
         """Account one transport drop/delay drawn from the plan's RNG."""
         self.faults_injected += 1
-        self._instant(None, "transport", kind=kind)
+        self._instant("transport", kind=kind)
 
     # -- internals --------------------------------------------------------
 
-    def _instant(self, tracer: Optional["Tracer"], name: str,
-                 **args: object) -> None:
-        emit = tracer if tracer is not None else self.tracer
-        if emit is not None:
-            emit.instant("fault", name, "faults", **args)
+    def _instant(self, name: str, **args: object) -> None:
+        if self.tracer is not None:
+            self.tracer.instant("fault", name, "faults", **args)
 
 
 _T = TypeVar("_T")

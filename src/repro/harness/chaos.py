@@ -216,8 +216,7 @@ class _WorkloadRun:
             self.oracle.note_committed_insert(rid, ("init", index))
         # Attach AFTER formatting/seeding: the sweep starts from an
         # operating complex (bootstrap is the offline formatting step).
-        # The flight recorder (which brings a tracer with it) goes first
-        # so attach_faults can point the plan at that tracer.
+        # The flight recorder brings a tracer with it.
         if flight:
             self.system.attach_flight(FlightRecorder())
         self.system.attach_faults(self.plan)
@@ -686,7 +685,7 @@ class CrashScheduleExplorer:
                            sanitizer=self.sanitizer,
                            flight=self.flight,
                            replication=self.replication)
-        recorder = run.system.flight
+        recorder = run.system.probe.flight
 
         def capture(reason: str) -> None:
             # Freeze the rings at the failure instant, before recovery

@@ -29,6 +29,7 @@ from repro.core.lsn import LogAddr, NULL_ADDR
 from repro.errors import LockConflictError
 from repro.locking.lock_modes import LockMode
 from repro.locking.lock_table import LockTable, Resource
+from repro.probe import Probe
 
 
 def p_lock_resource(page_id: int) -> Tuple[str, int]:
@@ -58,9 +59,9 @@ class LockDenied(NamedTuple):
 class GlobalLockManager:
     """Server-side lock authority for the whole complex."""
 
-    def __init__(self) -> None:
-        self.logical = LockTable("glm-logical")
-        self.physical = LockTable("glm-physical")
+    def __init__(self, probe: Optional[Probe] = None) -> None:
+        self.logical = LockTable("glm-logical", probe)
+        self.physical = LockTable("glm-physical", probe)
 
     # -- logical locks -----------------------------------------------------
 

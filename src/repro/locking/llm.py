@@ -17,13 +17,11 @@ measured by the harness:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.locking.lock_modes import LockMode, covers, supremum
 from repro.locking.lock_table import LockTable, Resource
-
-if TYPE_CHECKING:
-    from repro.obs.tracer import Tracer
+from repro.probe import Probe
 
 #: Signature of the client's path to the server GLM: (resource, mode) ->
 #: granted mode.  Implemented over the simulated network so every global
@@ -36,12 +34,15 @@ class LocalLockManager:
     """A client's lock manager, fronting the GLM."""
 
     def __init__(self, client_id: str, glm_request: GlmRequest,
-                 glm_release: GlmRelease, cache_locks: bool = True) -> None:
+                 glm_release: GlmRelease, cache_locks: bool = True,
+                 probe: Optional[Probe] = None) -> None:
         self.client_id = client_id
+        #: The owning complex's planes (tracer; sanitizer in ``local``).
+        self.probe = probe if probe is not None else Probe()
         self._glm_request = glm_request
         self._glm_release = glm_release
         self.cache_locks = cache_locks
-        self.local = LockTable(f"llm-{client_id}")
+        self.local = LockTable(f"llm-{client_id}", self.probe)
         #: Modes this LLM holds globally, by resource.
         self._global_held: Dict[Resource, LockMode] = {}
         #: Requests satisfied without touching the server.
@@ -50,8 +51,6 @@ class LocalLockManager:
         self.global_requests = 0
         #: Cached global locks given back on server callback.
         self.callbacks_honored = 0
-        #: Attached by the owning complex; ``None`` disables the hooks.
-        self.tracer: Optional["Tracer"] = None
 
     # -- acquisition ------------------------------------------------------
 
@@ -66,17 +65,19 @@ class LocalLockManager:
         held_global = self._global_held.get(resource)
         needed = mode if held_global is None else supremum(held_global, mode)
         if held_global is None or not covers(held_global, needed):
-            if self.tracer is not None:
-                self.tracer.instant("lock", "glm_request", self.client_id,
-                                    resource=str(resource), mode=needed.name)
+            if self.probe.tracer is not None:
+                self.probe.tracer.instant(
+                    "lock", "glm_request", self.client_id,
+                    resource=str(resource), mode=needed.name)
             granted = self._glm_request(resource, needed)
             self.global_requests += 1
             self._global_held[resource] = granted
         else:
             self.local_only_grants += 1
-            if self.tracer is not None:
-                self.tracer.instant("lock", "local_grant", self.client_id,
-                                    resource=str(resource), mode=mode.name)
+            if self.probe.tracer is not None:
+                self.probe.tracer.instant(
+                    "lock", "local_grant", self.client_id,
+                    resource=str(resource), mode=mode.name)
         return self.local.acquire(txn_id, resource, mode)
 
     def is_held(self, txn_id: str, resource: Resource, mode: LockMode) -> bool:

@@ -13,14 +13,12 @@ legacy polling scheduler (``repro.harness.scheduler``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Hashable, Iterator, List, Optional
+from typing import Dict, Hashable, Iterator, List, Optional
 
 from repro.core.lsn import LogAddr, NULL_ADDR
-
-if TYPE_CHECKING:
-    from repro.sanitizer import Sanitizer
 from repro.errors import LockConflictError, LockNotHeldError
 from repro.locking.lock_modes import LockMode, compatible, covers, supremum
+from repro.probe import Probe
 
 Resource = Hashable
 
@@ -56,7 +54,8 @@ class LockEntry:
 class LockTable:
     """Immediate-grant lock table with conversion support."""
 
-    def __init__(self, name: str = "locks") -> None:
+    def __init__(self, name: str = "locks",
+                 probe: Optional[Probe] = None) -> None:
         self.name = name
         self._entries: Dict[Resource, LockEntry] = {}
         #: Per-owner index of held resources (dict used as an ordered
@@ -66,9 +65,8 @@ class LockTable:
         #: difference between O(txn footprint) and O(live lock space)
         #: on every transaction termination.
         self._by_owner: Dict[str, Dict[Resource, None]] = {}
-        #: Attached by the owning complex; ``None`` disables the runtime
-        #: lock-order sanitizer (repro.sanitizer).
-        self.sanitizer: Optional["Sanitizer"] = None
+        #: The owning complex's planes (sanitizer).
+        self.probe = probe if probe is not None else Probe()
         self.requests = 0
         self.grants = 0
         self.conflicts = 0
@@ -120,8 +118,8 @@ class LockTable:
         if held is not target:
             counts[target] = counts.get(target, 0) + 1
         self.grants += 1
-        if self.sanitizer is not None:
-            self.sanitizer.on_lock_acquire(self.name, owner, resource)
+        if self.probe.sanitizer is not None:
+            self.probe.sanitizer.on_lock_acquire(self.name, owner, resource)
         return target
 
     def try_acquire(self, owner: str, resource: Resource,
@@ -143,8 +141,8 @@ class LockTable:
         self.releases += 1
         if not entry.holders and entry.rec_addr == NULL_ADDR:
             del self._entries[resource]
-        if self.sanitizer is not None:
-            self.sanitizer.on_lock_release(self.name, owner, resource)
+        if self.probe.sanitizer is not None:
+            self.probe.sanitizer.on_lock_release(self.name, owner, resource)
 
     def release_all(self, owner: str) -> List[Resource]:
         """Release every lock held by ``owner``; returns the resources
@@ -160,8 +158,8 @@ class LockTable:
             released.append(resource)
             if not entry.holders and entry.rec_addr == NULL_ADDR:
                 del self._entries[resource]
-        if self.sanitizer is not None:
-            self.sanitizer.on_lock_release_all(self.name, owner)
+        if self.probe.sanitizer is not None:
+            self.probe.sanitizer.on_lock_release_all(self.name, owner)
         return released
 
     def downgrade(self, owner: str, resource: Resource, mode: LockMode) -> None:
@@ -215,8 +213,8 @@ class LockTable:
         """Server crash: the lock table is volatile and disappears."""
         self._entries.clear()
         self._by_owner.clear()
-        if self.sanitizer is not None:
-            self.sanitizer.on_table_clear(self.name)
+        if self.probe.sanitizer is not None:
+            self.probe.sanitizer.on_table_clear(self.name)
 
     # -- internal -------------------------------------------------------------
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import NodeUnavailableError
 from repro.net.messages import MESSAGE_OVERHEAD, MsgType, payload_size
@@ -39,10 +39,7 @@ from repro.net.rpc import (
     StaleEpochError,
     Transport,
 )
-
-if TYPE_CHECKING:
-    from repro.faults import FaultPlan
-    from repro.obs.tracer import Tracer
+from repro.probe import Probe
 
 
 @dataclass(frozen=True)
@@ -180,7 +177,8 @@ class Network:
 
     def __init__(self, transport: Optional[Transport] = None,
                  retry: Optional[RetryPolicy] = None,
-                 trace_depth: int = 0) -> None:
+                 trace_depth: int = 0,
+                 probe: Optional[Probe] = None) -> None:
         self._nodes: Set[str] = set()
         self._down: Set[str] = set()
         self.transport: Transport = transport or ReliableTransport()
@@ -199,14 +197,9 @@ class Network:
         #: rejected until it rejoins (``unfence``).
         self._fenced: Dict[str, int] = {}
         self.stats = TrafficStats()
-        #: Attached by the owning complex; ``None`` disables rpc spans.
-        self.tracer: Optional["Tracer"] = None
-        #: Attached by the owning complex; ``None`` disables link
-        #: partitions (the fault plan's deterministic drop set).
-        self.faults: Optional["FaultPlan"] = None
-        #: Attached by the owning complex; ``None`` disables the RPC
-        #: round-trip / batch-size histograms (``repro.obs.hist``).
-        self.metrics: Any = None
+        #: The complex's planes: rpc spans (tracer), link partitions
+        #: (faults), RPC round-trip / batch-size histograms (metrics).
+        self.probe = probe if probe is not None else Probe()
         self._init_trace()
 
     def _init_trace(self) -> None:
@@ -308,9 +301,10 @@ class Network:
             raise NodeUnavailableError(envelope.src)
         if not self.is_up(envelope.dst):
             raise NodeUnavailableError(envelope.dst)
-        if self.tracer is None:
+        tracer = self.probe.tracer
+        if tracer is None:
             return self._deliver(envelope, attempt, envelope.request_id)
-        span_id = self.tracer.begin(
+        span_id = tracer.begin(
             "rpc", envelope.method, envelope.src, dst=envelope.dst,
             msg_type=envelope.msg_type.value,
             request_id=envelope.request_id, attempt=attempt,
@@ -343,14 +337,15 @@ class Network:
         if not self.is_up(batch.dst):
             raise NodeUnavailableError(batch.dst)
         responses: List[Optional[Response]] = []
+        tracer = self.probe.tracer
         for sub in batch.calls:
-            if self.tracer is None:
+            if tracer is None:
                 try:
                     responses.append(self._deliver(sub, 0, batch.request_id))
                 except MessageDroppedError:
                     responses.append(None)
                 continue
-            span_id = self.tracer.begin(
+            span_id = tracer.begin(
                 "rpc", sub.method, sub.src, dst=sub.dst,
                 msg_type=sub.msg_type.value,
                 request_id=sub.request_id, attempt=0,
@@ -373,12 +368,13 @@ class Network:
     def _end_rpc_span(self, span_id: int, outcome: str) -> None:
         """Close an rpc span, linking it to the ring-buffer trace entry
         of the same delivery attempt when message tracing is active."""
-        assert self.tracer is not None
+        tracer = self.probe.tracer
+        assert tracer is not None
         if self.stats.trace is not None:
-            self.tracer.end(span_id, outcome=outcome,
-                            trace_seq=self.stats._trace_seq)
+            tracer.end(span_id, outcome=outcome,
+                       trace_seq=self.stats._trace_seq)
         else:
-            self.tracer.end(span_id, outcome=outcome)
+            tracer.end(span_id, outcome=outcome)
 
     def _deliver(self, envelope: Envelope, attempt: int,
                  floor: int) -> Response:
@@ -389,8 +385,9 @@ class Network:
             self.stats.note_stale_epoch()
             raise StaleEpochError(envelope.src, envelope.epoch,
                                   self.cluster_epoch)
-        if self.faults is not None and \
-                self.faults.is_partitioned(envelope.src, envelope.dst):
+        faults = self.probe.faults
+        if faults is not None and \
+                faults.is_partitioned(envelope.src, envelope.dst):
             # A severed link behaves exactly like a transport drop of
             # the request leg, but deterministically and until healed.
             self.stats.note_drop()

@@ -440,8 +440,9 @@ class RpcStub:
                 for call in calls
             ),
         )
-        if network.metrics is not None:
-            network.metrics.rpc_batch_calls.observe(len(batch.calls))
+        metrics = network.probe.metrics
+        if metrics is not None:
+            metrics.rpc_batch_calls.observe(len(batch.calls))
         results: List[Any] = []
         for sub, response in zip(batch.calls, network.call_batch(batch)):
             if response is None:
@@ -470,12 +471,12 @@ class RpcStub:
         while True:
             try:
                 response = network.call(envelope, attempt=attempt)
-                if network.metrics is not None:
+                metrics = network.probe.metrics
+                if metrics is not None:
                     # Delivery attempts this exchange cost, retries
                     # included — the paper's commit-traffic latency is
                     # dominated by this distribution under loss.
-                    network.metrics.rpc_roundtrip_attempts.observe(
-                        attempt + 1)
+                    metrics.rpc_roundtrip_attempts.observe(attempt + 1)
                 return response
             except MessageDroppedError:
                 # The caller cannot tell a lost request from a lost

@@ -28,10 +28,9 @@ the tracer makes (DESIGN §9).
 
 :class:`MetricsHub` is the attachment object: one public attribute per
 manifest name (``TRACKED_HISTOGRAM_ATTRS`` /
-``TRACKED_TIMESERIES_ATTRS`` in :mod:`repro.obs.registry`), attached to
-the complex exactly like the tracer — ``system.metrics`` defaults to
-``None`` and every observation site is guarded by one pointer compare,
-so the disabled path stays within the obs overhead gate.
+``TRACKED_TIMESERIES_ATTRS`` in :mod:`repro.obs.registry`), attached as
+the complex probe's ``metrics`` plane (DESIGN §9, "Probe"), so the
+disabled path stays within the obs overhead gate.
 """
 
 from __future__ import annotations
@@ -199,12 +198,11 @@ class TimeSeries:
 class MetricsHub:
     """One public instrument per manifest name, plus a logical clock.
 
-    Attached via ``ClientServerSystem.attach_metrics`` (mirroring
-    ``attach_tracer``); subsystems hold a ``metrics`` pointer that
-    defaults to ``None`` and guard every observation with one compare.
-    The attribute names here are the single source of truth the
-    registry manifests (and lint rule OBS002) must match — a closed
-    loop the unit tests assert.
+    Attached via ``ClientServerSystem.attach_metrics`` as
+    ``system.probe.metrics``; every observation site is guarded by
+    ``probe.metrics is not None``.  The attribute names here are the
+    single source of truth the registry manifests (and lint rule
+    OBS002) must match — a closed loop the unit tests assert.
     """
 
     __slots__ = (

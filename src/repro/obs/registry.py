@@ -96,7 +96,7 @@ TRACKED_COUNTER_ATTRS = frozenset({
 TRACKED_HISTOGRAM_ATTRS = frozenset({
     # engine.core.Engine
     "txn_latency_ticks", "lock_wait_ticks",
-    # net.rpc.RpcStub (observed through Network.metrics)
+    # net.rpc.RpcStub (observed through the network's probe)
     "rpc_roundtrip_attempts", "rpc_batch_calls",
     # storage.stable_log.StableLog
     "log_force_bytes",
@@ -256,8 +256,7 @@ def register_client_counters(registry: MetricsRegistry) -> None:
 def register_fault_counters(registry: MetricsRegistry) -> None:
     """Fault-plane counters; all zero when no plan is attached."""
     def plan_attr(attr: str) -> Provider:
-        return lambda s: getattr(s.faults, attr, 0) if s.faults is not None \
-            else 0
+        return lambda s: getattr(s.probe.faults, attr, 0)
 
     registry.register("faults_injected", plan_attr("faults_injected"))
     registry.register("torn_writes", plan_attr("torn_writes"))
@@ -289,7 +288,7 @@ def register_replication_counters(registry: MetricsRegistry) -> None:
 
 
 def register_hub_metrics(registry: MetricsRegistry) -> None:
-    """Histogram and time-series providers off ``system.metrics``.
+    """Histogram and time-series providers off ``system.probe.metrics``.
 
     Providers return the instrument's canonical ``state()`` dict, or
     ``None`` when the complex has no hub attached — ``snapshot`` then
@@ -298,7 +297,7 @@ def register_hub_metrics(registry: MetricsRegistry) -> None:
     """
     def hub_state(attr: str) -> HistogramProvider:
         def provider(s: Any) -> Any:
-            hub = getattr(s, "metrics", None)
+            hub = s.probe.metrics
             if hub is None:
                 return None
             return getattr(hub, attr).state()

@@ -11,10 +11,10 @@ points fire in deterministic execution order, two runs with the same
 what makes traces diffable across policy changes and usable as witnesses
 in tests.
 
-**Near-zero overhead when disabled.**  Instrumented objects carry a
-``tracer`` attribute that defaults to ``None``; every hot-path hook is
-guarded by a single ``if self.tracer is not None`` attribute test, so a
-system built without tracing pays one pointer comparison per hook and
+**Near-zero overhead when disabled.**  Instrumented objects share the
+complex's probe (:mod:`repro.probe`), whose ``tracer`` field defaults
+to ``None``; every hot-path hook is guarded by ``probe.tracer is not
+None``, so a system built without tracing pays that guard per hook and
 allocates nothing.  There is no buffering, no formatting, no branch
 beyond the guard.
 
@@ -74,9 +74,10 @@ def _pack_args(args: Dict[str, Any]) -> EventArgs:
 class Tracer:
     """Collects :class:`TraceEvent` rows on a logical clock.
 
-    A tracer is attached to the instrumented objects of one complex by
-    :meth:`repro.core.system.ClientServerSystem.attach_tracer`; hooks
-    fire only on objects whose ``tracer`` attribute is non-``None``.
+    A tracer is attached to one complex by
+    :meth:`repro.core.system.ClientServerSystem.attach_tracer`, which
+    sets the complex probe's ``tracer`` field; hooks fire only while it
+    is non-``None``.
     """
 
     __slots__ = ("events", "flight", "_tick", "_stack", "_next_span_id")

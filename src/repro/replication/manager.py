@@ -46,9 +46,6 @@ from repro.replication.stream import ShipBatch
 
 if TYPE_CHECKING:
     from repro.core.system import ClientServerSystem
-    from repro.faults import FaultPlan
-    from repro.obs.hist import MetricsHub
-    from repro.obs.tracer import Tracer
 
 #: Simulated ticks between the failure detector's heartbeat probes.
 HEARTBEAT_INTERVAL = 2
@@ -67,6 +64,8 @@ class ReplicationManager:
         self.system = system
         self.config = system.config
         self.network = system.network
+        #: The complex's planes; the standby's own hooks read them too.
+        self.probe = system.probe
         self.primary = system.server
         self.state = "follower"
         #: Last address the standby durably acknowledged.
@@ -101,21 +100,6 @@ class ReplicationManager:
         self.primary.dispatcher.register("replication_heartbeat",
                                          lambda sender: True)
         self.standby = StandbyServer(self)
-
-    # Observability planes are read off the complex so late attachment
-    # (system.attach_tracer after construction) is seen immediately.
-
-    @property
-    def tracer(self) -> Optional["Tracer"]:
-        return self.system.tracer
-
-    @property
-    def faults(self) -> Optional["FaultPlan"]:
-        return self.system.faults
-
-    @property
-    def metrics(self) -> Optional["MetricsHub"]:
-        return self.system.metrics
 
     def note_applied(self, count: int) -> None:
         """The standby's apply loop materialized ``count`` records."""
@@ -184,9 +168,8 @@ class ReplicationManager:
         changed = primary.dispatcher.changed
         if not frames and not changed:
             return self.ship_hw
-        faults = self.faults
-        if faults is not None:
-            faults.crashpoint("replication.ship.before_send", self.tracer)
+        if self.probe.faults is not None:
+            self.probe.faults.crashpoint("replication.ship.before_send")
         slots = primary.dispatcher.slots
         dedup = {sender: dict(slots.get(sender, {})) for sender in changed}
         changed.clear()
@@ -206,7 +189,7 @@ class ReplicationManager:
         self.ship_hw = ack
         self.frames_shipped += len(frames)
         self.ship_acks += 1
-        metrics = self.metrics
+        metrics = self.probe.metrics
         if metrics is not None:
             metrics.ship_lag_records.observe(
                 primary.log.stable.records_between(
@@ -246,8 +229,8 @@ class ReplicationManager:
         assert self._suspicion_limit is not None
         if self._misses >= self._suspicion_limit:
             self.state = "candidate"
-            if self.tracer is not None:
-                self.tracer.instant(
+            if self.probe.tracer is not None:
+                self.probe.tracer.instant(
                     "failover", "suspected", self.standby.node_id,
                     misses=self._misses, tick=self._tick)
             suspect_tick = self._suspect_tick
@@ -305,11 +288,10 @@ class ReplicationManager:
            promotion checkpoint, and redo covers only the unapplied
            tail — the reason promotion beats a cold restart.
         """
-        tracer = self.tracer
-        faults = self.faults
+        probe = self.probe
         span = 0
-        if tracer is not None:
-            span = tracer.begin(
+        if probe.tracer is not None:
+            span = probe.tracer.begin(
                 "failover", "promote", self.standby.node_id,
                 retry=self._promotion_attempted,
             )
@@ -320,24 +302,24 @@ class ReplicationManager:
             self.standby.recover()
         self._promotion_attempted = True
         old = self.primary
-        if faults is not None:
-            faults.crashpoint("replication.promote.before_fence", tracer)
+        if probe.faults is not None:
+            probe.faults.crashpoint("replication.promote.before_fence")
         if not self.network.is_fenced(old.node_id):
             self.network.fence(old.node_id)
             self.network.bump_epoch()
-            if tracer is not None:
-                tracer.instant("failover", "fenced", self.standby.node_id,
-                               old_primary=old.node_id,
-                               epoch=self.network.cluster_epoch)
-        if faults is not None:
-            faults.crashpoint("replication.promote.before_checkpoint",
-                              tracer)
+            if probe.tracer is not None:
+                probe.tracer.instant(
+                    "failover", "fenced", self.standby.node_id,
+                    old_primary=old.node_id,
+                    epoch=self.network.cluster_epoch)
+        if probe.faults is not None:
+            probe.faults.crashpoint("replication.promote.before_checkpoint")
         self.standby.promotion_checkpoint()
         boundary = self.standby.ship_high_water
-        if faults is not None:
-            faults.crashpoint("replication.promote.before_restart", tracer)
+        if probe.faults is not None:
+            probe.faults.crashpoint("replication.promote.before_restart")
         new_server = Server(self.config, self.network,
-                            node_id=self.standby.node_id)
+                            node_id=self.standby.node_id, probe=probe)
         new_server.adopt_replica_state(
             self.standby.log, self.standby.disk, self.standby.tracker,
             self.standby.master,
@@ -352,14 +334,6 @@ class ReplicationManager:
             client.repoint_server(new_server)
             new_server.connect_client(client)
         system.server = new_server
-        if system.tracer is not None:
-            system.attach_tracer(system.tracer)
-        if system.metrics is not None:
-            system.attach_metrics(system.metrics)
-        if system.sanitizer is not None:
-            system.attach_sanitizer(system.sanitizer)
-        if system.faults is not None:
-            system.attach_faults(system.faults)
         report = new_server.restart(
             survivor_boundary=boundary, log_bookkeeping_intact=True)
         self.state = "primary"
@@ -369,8 +343,8 @@ class ReplicationManager:
         self.last_promotion_report = report
         old.replication = None
         old.dispatcher.changed = None
-        if tracer is not None:
-            tracer.end(span, records=report.total_log_records_processed)
+        if probe.tracer is not None:
+            probe.tracer.end(span, records=report.total_log_records_processed)
         return report
 
     def stale_primary_probe(self) -> bool:

@@ -32,7 +32,7 @@ replica silently diverges from its primary.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List
 
 from repro.core.commit_lsn import GlobalTransactionTracker
 from repro.core.log_records import (
@@ -59,8 +59,6 @@ from repro.storage.disk import Disk
 from repro.storage.page import Page, PageKind
 
 if TYPE_CHECKING:
-    from repro.faults import FaultPlan
-    from repro.obs.tracer import Tracer
     from repro.replication.manager import ReplicationManager
 
 
@@ -73,6 +71,10 @@ class StandbyServer:
         self.manager = manager
         self.config = manager.config
         self.network = manager.network
+        #: The complex's planes, for the standby's own hooks.  The log
+        #: and disk replicas keep their own empty probes until
+        #: ``Server.adopt_replica_state`` hands them this one.
+        self.probe = manager.probe
         self.log = ServerLogManager(0)
         self.disk = Disk()
         self.tracker = GlobalTransactionTracker()
@@ -106,17 +108,6 @@ class StandbyServer:
         self.dispatcher.register("replication_heartbeat",
                                  lambda sender: True)
         self.network.attach(self.node_id, self.dispatcher)
-
-    # Observability planes are read through the manager so a plane
-    # attached to the complex after construction is seen immediately.
-
-    @property
-    def tracer(self) -> Optional["Tracer"]:
-        return self.manager.tracer
-
-    @property
-    def faults(self) -> Optional["FaultPlan"]:
-        return self.manager.faults
 
     # ------------------------------------------------------------------
     # Bootstrap
@@ -164,9 +155,9 @@ class StandbyServer:
         """
         if self.crashed:
             raise NodeUnavailableError(self.node_id)
-        faults = self.faults
+        faults = self.probe.faults
         if faults is not None:
-            faults.crashpoint("replication.ship.before_append", self.tracer)
+            faults.crashpoint("replication.ship.before_append")
         for addr, record in batch.frames:
             end = self.log.end_of_log_addr
             if addr < end:
@@ -183,7 +174,7 @@ class StandbyServer:
         for sender in [s for s, slot in batch.dedup.items() if not slot]:
             del self._dedup[sender]
         if faults is not None:
-            faults.crashpoint("replication.ship.before_ack", self.tracer)
+            faults.crashpoint("replication.ship.before_ack")
         self._maybe_apply()
         return self.log.flushed_addr
 
@@ -255,9 +246,9 @@ class StandbyServer:
         target = self.log.flushed_addr
         if target <= self.applied_addr:
             return 0
-        faults = self.faults
+        faults = self.probe.faults
         if faults is not None:
-            faults.crashpoint("replication.apply.before_redo", self.tracer)
+            faults.crashpoint("replication.apply.before_redo")
         # The shipped tail was just appended, so the log hands back the
         # record objects themselves: no header peek, no decode.
         tail = ((addr, record)

@@ -3,11 +3,9 @@
 The static linter (``repro.analysis``) proves ordering disciplines over
 call paths it can see; this module checks the same disciplines on every
 *executed* path.  A :class:`Sanitizer` is attached by
-:meth:`repro.core.system.ClientServerSystem.attach_sanitizer` — the same
-attachment-is-the-enable-switch pattern as the tracer and the fault
-plane, so an unattached hook costs one pointer comparison and the
-sanitizer never touches a metrics counter (disabled runs are
-byte-identical).
+:meth:`repro.core.system.ClientServerSystem.attach_sanitizer` as the
+complex probe's ``sanitizer`` plane (DESIGN §9, "Probe"), and it never
+touches a metrics counter (disabled runs are byte-identical).
 
 Hook points and what they feed:
 

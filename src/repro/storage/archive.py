@@ -20,7 +20,8 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.lsn import LogAddr
 from repro.errors import ArchiveError
-from repro.faults import FaultPlan, io_retry
+from repro.faults import io_retry
+from repro.probe import Probe
 from repro.storage.disk import Disk
 from repro.storage.page import Page
 
@@ -28,25 +29,27 @@ from repro.storage.page import Page
 class Archive:
     """Stores page backups with their media-recovery start addresses."""
 
-    def __init__(self) -> None:
+    def __init__(self, probe: Optional[Probe] = None) -> None:
         self._copies: Dict[int, Tuple[bytes, LogAddr]] = {}
         self.backups_taken = 0
         #: Page copies written to the archive (media-recovery I/O cost).
         self.archive_writes = 0
         #: Backup copies read back during media recovery.
         self.archive_reads = 0
-        #: Attached by the owning complex; ``None`` disables injection.
-        self.faults: Optional[FaultPlan] = None
+        #: The owning complex's planes (faults).
+        self.probe = probe if probe is not None else Probe()
 
     def _store_copy(self, page_id: int, image: bytes,
                     redo_start_addr: LogAddr) -> None:
         """One archive copy write, retried through the fault plane's
         deterministic transient-I/O policy."""
+        faults = self.probe.faults
+
         def attempt() -> None:
-            if self.faults is not None:
-                self.faults.maybe_io_error("archive.write", page_id)
+            if faults is not None:
+                faults.maybe_io_error("archive.write", page_id)
             self._copies[page_id] = (image, redo_start_addr)
-        io_retry(self.faults, attempt, "archive.write")
+        io_retry(faults, attempt, "archive.write")
         self.archive_writes += 1
 
     def backup_from_disk(self, disk: Disk, redo_start_addr: LogAddr) -> int:
@@ -55,8 +58,9 @@ class Archive:
         ``redo_start_addr`` is the conservative redo bound computed by
         the server at the moment of the backup.
         """
-        if self.faults is not None:
-            self.faults.crashpoint("archive.backup.before_copy")
+        faults = self.probe.faults
+        if faults is not None:
+            faults.crashpoint("archive.backup.before_copy")
         count = 0
         for page_id in disk.page_ids():
             if disk.has_media_failure(page_id):
@@ -69,24 +73,26 @@ class Archive:
 
     def backup_page(self, page: Page, redo_start_addr: LogAddr) -> None:
         """Archive a single page image."""
-        if self.faults is not None:
-            self.faults.crashpoint("archive.backup.before_copy")
+        faults = self.probe.faults
+        if faults is not None:
+            faults.crashpoint("archive.backup.before_copy")
         self._store_copy(page.page_id, page.to_bytes(), redo_start_addr)
 
     def restore_page(self, page_id: int) -> Tuple[Page, LogAddr]:
         """Return (backup copy, redo start address) for ``page_id``."""
-        if self.faults is not None:
-            self.faults.crashpoint("archive.restore.before")
+        faults = self.probe.faults
+        if faults is not None:
+            faults.crashpoint("archive.restore.before")
         entry = self._copies.get(page_id)
         if entry is None:
             raise ArchiveError(f"no backup copy for page {page_id}")
 
         def attempt() -> Tuple[bytes, LogAddr]:
-            if self.faults is not None:
-                self.faults.maybe_io_error("archive.read", page_id)
+            if faults is not None:
+                faults.maybe_io_error("archive.read", page_id)
             assert entry is not None
             return entry
-        image, addr = io_retry(self.faults, attempt, "archive.read")
+        image, addr = io_retry(faults, attempt, "archive.read")
         self.archive_reads += 1
         return Page.from_bytes(image), addr
 

@@ -21,16 +21,12 @@ of the first update possibly missing from the disk version, section
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional
+from typing import Callable, Dict, Iterator, Optional
 
 from repro.core.lsn import LSN, LogAddr, NULL_ADDR, NULL_LSN
 from repro.errors import BufferPoolFullError
+from repro.probe import Probe
 from repro.storage.page import Page
-
-if TYPE_CHECKING:
-    from repro.faults import FaultPlan
-    from repro.obs.tracer import Tracer
-    from repro.sanitizer import Sanitizer
 
 
 @dataclass
@@ -63,20 +59,15 @@ class BufferPool:
     """A fixed-capacity page cache with steal eviction."""
 
     def __init__(self, capacity: int, name: str = "pool",
-                 on_evict: Optional[Callable[[BufferControlBlock], None]] = None) -> None:
+                 on_evict: Optional[Callable[[BufferControlBlock], None]] = None,
+                 probe: Optional[Probe] = None) -> None:
         if capacity < 1:
             raise ValueError("buffer pool needs at least one frame")
         self.capacity = capacity
         self.name = name
         self.on_evict = on_evict
-        #: Attached by the owning complex; ``None`` means tracing is off
-        #: and every hook below costs one pointer comparison.
-        self.tracer: Optional["Tracer"] = None
-        #: Attached by the owning complex; ``None`` disables injection.
-        self.faults: Optional["FaultPlan"] = None
-        #: Attached by the owning complex; ``None`` disables the runtime
-        #: latch/lock-order sanitizer (repro.sanitizer).
-        self.sanitizer: Optional["Sanitizer"] = None
+        #: The owning complex's planes (tracer, faults, sanitizer).
+        self.probe = probe if probe is not None else Probe()
         self._frames: Dict[int, BufferControlBlock] = {}
         self._tick = 0
         self.hits = 0
@@ -168,15 +159,15 @@ class BufferPool:
             raise BufferPoolFullError(
                 f"{self.name}: all {self.capacity} frames are fixed"
             )
-        if self.tracer is not None:
-            self.tracer.instant("buf", "evict", self.name,
-                                page_id=victim.page_id, dirty=victim.dirty)
+        probe = self.probe
+        if probe.tracer is not None:
+            probe.tracer.instant("buf", "evict", self.name,
+                                 page_id=victim.page_id, dirty=victim.dirty)
         if victim.dirty:
             # Steal: a dirty (possibly uncommitted) page leaves the pool.
             # The owner's callback must make it durable first.
-            if self.faults is not None:
-                self.faults.crashpoint("pool.evict.before_writeback",
-                                       self.tracer)
+            if probe.faults is not None:
+                probe.faults.crashpoint("pool.evict.before_writeback")
             self.dirty_evictions += 1
             if self.on_evict is not None:
                 self.on_evict(victim)
@@ -214,20 +205,22 @@ class BufferPool:
 
     def fix(self, page_id: int) -> None:
         self._frames[page_id].fix_count += 1
-        if self.tracer is not None:
-            self.tracer.instant("buf", "fix", self.name, page_id=page_id)
-        if self.sanitizer is not None:
-            self.sanitizer.on_fix(self.name, page_id)
+        probe = self.probe
+        if probe.tracer is not None:
+            probe.tracer.instant("buf", "fix", self.name, page_id=page_id)
+        if probe.sanitizer is not None:
+            probe.sanitizer.on_fix(self.name, page_id)
 
     def unfix(self, page_id: int) -> None:
         bcb = self._frames[page_id]
         if bcb.fix_count <= 0:
             raise ValueError(f"unfix of unfixed page {page_id}")
         bcb.fix_count -= 1
-        if self.tracer is not None:
-            self.tracer.instant("buf", "unfix", self.name, page_id=page_id)
-        if self.sanitizer is not None:
-            self.sanitizer.on_unfix(self.name, page_id)
+        probe = self.probe
+        if probe.tracer is not None:
+            probe.tracer.instant("buf", "unfix", self.name, page_id=page_id)
+        if probe.sanitizer is not None:
+            probe.sanitizer.on_unfix(self.name, page_id)
 
     def fixed(self, page_id: int) -> "_PinGuard":
         """Pin a resident page for the duration of a ``with`` block.
@@ -272,8 +265,9 @@ class BufferPool:
     def clear(self) -> None:
         """Crash: all volatile frames disappear."""
         self._frames.clear()
-        if self.sanitizer is not None:
-            self.sanitizer.on_pool_clear(self.name)
+        sanitizer = self.probe.sanitizer
+        if sanitizer is not None:
+            sanitizer.on_pool_clear(self.name)
 
     def reset_counters(self) -> None:
         self.hits = 0

@@ -16,22 +16,23 @@ from __future__ import annotations
 from typing import Dict, Iterator, Optional, Set
 
 from repro.errors import MediaFailureError, PageNotFoundError
-from repro.faults import TORN_WRITE_CRASH, CrashPointReached, FaultPlan
+from repro.faults import TORN_WRITE_CRASH, CrashPointReached
+from repro.probe import Probe
 from repro.storage.page import Page
 
 
 class Disk:
     """A crash-surviving, per-page-atomic store of page images."""
 
-    def __init__(self) -> None:
+    def __init__(self, probe: Optional[Probe] = None) -> None:
         self._images: Dict[int, bytes] = {}
         self._failed_pages: Set[int] = set()
         self.reads = 0
         self.writes = 0
         self.bytes_read = 0
         self.bytes_written = 0
-        #: Attached by the owning complex; ``None`` disables injection.
-        self.faults: Optional[FaultPlan] = None
+        #: The owning complex's planes (faults).
+        self.probe = probe if probe is not None else Probe()
 
     # -- I/O -------------------------------------------------------------
 
@@ -47,9 +48,10 @@ class Disk:
         ``Page.to_bytes`` makes the tear detectable on the next read.
         """
         image = page.to_bytes()
-        if self.faults is not None:
-            self.faults.maybe_io_error("disk.write", page.page_id)
-            torn = self.faults.torn_write_len(page.page_id, len(image))
+        faults = self.probe.faults
+        if faults is not None:
+            faults.maybe_io_error("disk.write", page.page_id)
+            torn = faults.torn_write_len(page.page_id, len(image))
             if torn is not None:
                 self._images[page.page_id] = image[:torn]
                 self._failed_pages.discard(page.page_id)

@@ -41,7 +41,7 @@ from __future__ import annotations
 import bisect
 import struct
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.log_records import (
     FrameHeader,
@@ -52,11 +52,7 @@ from repro.core.log_records import (
 )
 from repro.core.lsn import LogAddr
 from repro.errors import LogError, LogRecordNotFoundError
-
-if TYPE_CHECKING:
-    from repro.faults import FaultPlan
-    from repro.obs.tracer import Tracer
-    from repro.sanitizer import Sanitizer
+from repro.probe import Probe
 
 #: Bytes of framing charged per record (the stored length prefix).
 FRAME_OVERHEAD = 8
@@ -73,7 +69,7 @@ class StableLog:
     #: (losers' tails), not for whole-log caching.
     DECODE_CACHE_SIZE = 256
 
-    def __init__(self) -> None:
+    def __init__(self, probe: Optional[Probe] = None) -> None:
         #: Byte image of the retained log: [len u64][frame] per record.
         self._buf = bytearray()
         #: Sorted frame-start addresses (parallel to frames in _buf).
@@ -85,16 +81,8 @@ class StableLog:
         self._flushed_addr: LogAddr = 0
         #: LRU of appended or decoded records keyed by address.
         self._decoded: "OrderedDict[LogAddr, LogRecord]" = OrderedDict()
-        #: Attached by the owning complex; ``None`` disables the hooks.
-        self.tracer: Optional["Tracer"] = None
-        #: Attached by the owning complex; ``None`` disables injection.
-        self.faults: Optional["FaultPlan"] = None
-        #: Attached by the owning complex; ``None`` disables the runtime
-        #: WAL sanitizer (repro.sanitizer).
-        self.sanitizer: Optional["Sanitizer"] = None
-        #: Attached by the owning complex; ``None`` disables the
-        #: log-force-bytes histogram (repro.obs.hist).
-        self.metrics: Any = None
+        #: The owning complex's planes (all but the flight recorder).
+        self.probe = probe if probe is not None else Probe()
         self.appends = 0
         self.forces = 0
         self.bytes_appended = 0
@@ -122,8 +110,9 @@ class StableLog:
 
     def append(self, record: LogRecord) -> LogAddr:
         """Append ``record`` to the volatile tail; returns its address."""
-        if self.faults is not None:
-            self.faults.crashpoint("log.append.before", self.tracer)
+        probe = self.probe
+        if probe.faults is not None:
+            probe.faults.crashpoint("log.append.before")
         frame = encode_record(record)
         addr = self._base + len(self._buf)
         self._buf += _FRAME_LEN.pack(len(frame))
@@ -132,13 +121,13 @@ class StableLog:
         self._remember(addr, record)
         self.appends += 1
         self.bytes_appended += len(frame) + FRAME_OVERHEAD
-        if self.tracer is not None:
-            self.tracer.instant("log", "append", "server", addr=addr,
-                                lsn=int(record.lsn),
-                                nbytes=len(frame) + FRAME_OVERHEAD)
-        if self.sanitizer is not None:
-            self.sanitizer.on_log_append(int(record.lsn),
-                                         addr + FRAME_OVERHEAD + len(frame))
+        if probe.tracer is not None:
+            probe.tracer.instant("log", "append", "server", addr=addr,
+                                 lsn=int(record.lsn),
+                                 nbytes=len(frame) + FRAME_OVERHEAD)
+        if probe.sanitizer is not None:
+            probe.sanitizer.on_log_append(int(record.lsn),
+                                          addr + FRAME_OVERHEAD + len(frame))
         return addr
 
     def force(self, up_to_addr: Optional[LogAddr] = None) -> None:
@@ -148,8 +137,9 @@ class StableLog:
         stable prefix is a no-op and is not counted, matching the usual
         group-commit accounting.
         """
-        if self.faults is not None:
-            self.faults.crashpoint("log.force.before", self.tracer)
+        probe = self.probe
+        if probe.faults is not None:
+            probe.faults.crashpoint("log.force.before")
         if up_to_addr is None:
             target = self.end_of_log_addr
         else:
@@ -159,13 +149,13 @@ class StableLog:
         flushed_before = self._flushed_addr
         self._flushed_addr = target
         self.forces += 1
-        if self.tracer is not None:
-            self.tracer.instant("log", "force", "server",
-                                flushed_addr=target)
-        if self.sanitizer is not None:
-            self.sanitizer.on_log_force(target)
-        if self.metrics is not None:
-            self.metrics.log_force_bytes.observe(target - flushed_before)
+        if probe.tracer is not None:
+            probe.tracer.instant("log", "force", "server",
+                                 flushed_addr=target)
+        if probe.sanitizer is not None:
+            probe.sanitizer.on_log_force(target)
+        if probe.metrics is not None:
+            probe.metrics.log_force_bytes.observe(target - flushed_before)
 
     def _frame_end(self, addr: LogAddr) -> LogAddr:
         index = bisect.bisect_left(self._index, addr)
@@ -430,10 +420,11 @@ class StableLog:
             if self._index[last] + self._frame_length_at(last) <= self._flushed_addr:
                 break
             keep = last
-        if self.faults is not None:
+        probe = self.probe
+        if probe.faults is not None:
             # Partially flushed suffix: these frames survive the crash
             # even though force() never covered them.
-            keep += self.faults.partial_flush_frames(len(self._index) - keep)
+            keep += probe.faults.partial_flush_frames(len(self._index) - keep)
         self.records_lost_last_crash = len(self._index) - keep
         if keep < len(self._index):
             del self._buf[self._index[keep] - self._base:]
@@ -442,5 +433,5 @@ class StableLog:
         # Post-crash appends reuse the truncated tail's addresses; drop
         # any cached decodes for them.
         self._decoded.clear()
-        if self.sanitizer is not None:
-            self.sanitizer.on_log_crash(self._flushed_addr)
+        if probe.sanitizer is not None:
+            probe.sanitizer.on_log_crash(self._flushed_addr)

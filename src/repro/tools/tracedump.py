@@ -282,8 +282,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     system = None
     if opts.demo:
         system = _demo_system(flight_depth=64 if opts.flight else 0)
-        assert system.tracer is not None
-        events = system.tracer.events
+        assert system.probe.tracer is not None
+        events = system.probe.tracer.events
     elif opts.trace:
         from repro.obs.export import read_jsonl
         with open(opts.trace, "r", encoding="utf-8") as fp:
@@ -317,9 +317,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"OPENMETRICS INVALID: {problem}")
             failed = True
     if opts.flight:
-        assert system is not None and system.flight is not None
-        print(system.flight.dump_json(
-            system.flight.capture("tracedump")))
+        flight = system.probe.flight if system is not None else None
+        assert flight is not None
+        print(flight.dump_json(flight.capture("tracedump")))
     if opts.metrics or opts.flight:
         return 1 if failed else 0
 

@@ -124,7 +124,7 @@ class TestCrossCheck:
     def test_observed_edges_subset_of_static_graph(self):
         system, rids = build_system(sanitizer=True)
         run_engine_workload(system, rids)
-        observed = system.sanitizer.observed_edges()
+        observed = system.probe.sanitizer.observed_edges()
         assert observed, "workload must exercise the order hooks"
         project = Project.load([SRC])
         static_edges = build_lockgraph(project).class_edges()

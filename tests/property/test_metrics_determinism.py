@@ -56,16 +56,16 @@ class TestMetricsDeterminism:
     def test_same_seed_same_hub_bytes(self, seed, crash_mode):
         first = run_scenario(seed, crash_mode)
         second = run_scenario(seed, crash_mode)
-        assert first.metrics is not None and second.metrics is not None
-        state_a = first.metrics.state_json()
-        state_b = second.metrics.state_json()
+        assert first.probe.metrics is not None and second.probe.metrics is not None
+        state_a = first.probe.metrics.state_json()
+        state_b = second.probe.metrics.state_json()
         assert state_a.encode("utf-8") == state_b.encode("utf-8")
 
     @SLOW
     @given(st.integers(0, 2 ** 16))
     def test_recovery_fills_the_instruments(self, seed):
         system = run_scenario(seed, "all")
-        hub = system.metrics
+        hub = system.probe.metrics
         # Three passes ran (analysis, redo, undo) on the restart.
         assert hub.recovery_pass_records.count >= 3
         # The progress meter sampled at least the analysis total, and

@@ -70,18 +70,18 @@ class TestTraceDeterminism:
     def test_same_seed_same_bytes(self, seed, crash_mode):
         first = run_scenario(seed, crash_mode)
         second = run_scenario(seed, crash_mode)
-        assert first.tracer is not None and second.tracer is not None
-        jsonl_a = to_jsonl(first.tracer.events)
-        jsonl_b = to_jsonl(second.tracer.events)
+        assert first.probe.tracer is not None and second.probe.tracer is not None
+        jsonl_a = to_jsonl(first.probe.tracer.events)
+        jsonl_b = to_jsonl(second.probe.tracer.events)
         assert jsonl_a.encode("utf-8") == jsonl_b.encode("utf-8")
 
     @SLOW
     @given(st.integers(0, 2 ** 16), st.sampled_from(["client", "all"]))
     def test_recovery_spans_match_log_arithmetic(self, seed, crash_mode):
         system = run_scenario(seed, crash_mode)
-        assert system.tracer is not None
+        assert system.probe.tracer is not None
         stable = system.server.log.stable
-        recoveries = [root for root in build_spans(system.tracer.events)
+        recoveries = [root for root in build_spans(system.probe.tracer.events)
                       if root.cat == "recovery"]
         assert recoveries, "the scenario must produce a recovery span"
         for root in recoveries:

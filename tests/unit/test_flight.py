@@ -84,18 +84,32 @@ class TestSystemAttachment:
     def test_config_knob_attaches_recorder_and_tracer(self):
         system = ClientServerSystem(
             SystemConfig(flight_recorder_depth=16), client_ids=["C1"])
-        assert system.flight is not None
-        assert system.flight.capacity == 16
-        assert system.tracer is not None
-        assert system.tracer.flight is system.flight
+        assert system.probe.flight is not None
+        assert system.probe.flight.capacity == 16
+        assert system.probe.tracer is not None
+        assert system.probe.tracer.flight is system.probe.flight
 
     def test_attach_flight_reuses_existing_tracer(self):
         system = ClientServerSystem(SystemConfig(trace_enabled=True),
                                     client_ids=["C1"])
-        tracer = system.tracer
+        tracer = system.probe.tracer
         system.attach_flight(FlightRecorder())
-        assert system.tracer is tracer
-        assert tracer.flight is system.flight
+        assert system.probe.tracer is tracer
+        assert tracer.flight is system.probe.flight
+
+    def test_replacing_the_tracer_keeps_the_recorder_armed(self):
+        # Regression: attach_tracer used to leave the new tracer's tap
+        # empty, so an armed recorder silently stopped ringing events.
+        system = ClientServerSystem(
+            SystemConfig(flight_recorder_depth=64), client_ids=["C1"])
+        recorder = system.probe.flight
+        tracer = Tracer()
+        system.attach_tracer(tracer)
+        assert tracer.flight is recorder
+        tracer.instant("t", "after-replace", "server")
+        assert [row["name"] for row in
+                recorder.capture("test")["nodes"]["server"]] == \
+            ["after-replace"]
 
     def test_default_depth_is_reviewable(self):
         assert DEFAULT_FLIGHT_CAPACITY == 128
@@ -112,7 +126,7 @@ class TestSystemAttachment:
         txn = client.begin()
         client.update(txn, rids[0], "v")
         client.commit(txn)
-        dump = system.flight.capture("test")
+        dump = system.probe.flight.capture("test")
         assert "server" in dump["nodes"]
         assert any(node["name"] == "append"
                    for node in dump["nodes"]["server"])

@@ -161,10 +161,11 @@ class TestEngineInstrumentation:
 
     def test_unattached_hub_keeps_snapshot_empty(self):
         system = ClientServerSystem(SystemConfig(), client_ids=["C1"])
-        assert system.metrics is None
+        assert system.probe.metrics is None
         assert snapshot(system).histograms == {}
 
     def test_same_seed_hub_state_is_byte_identical(self):
         first = run_contended_engine(seed=11)
         second = run_contended_engine(seed=11)
-        assert first.metrics.state_json() == second.metrics.state_json()
+        assert first.probe.metrics.state_json() == \
+            second.probe.metrics.state_json()

@@ -129,7 +129,7 @@ class TestRegistry:
 class TestExport:
     def test_jsonl_roundtrip_and_canonical_bytes(self):
         system, _rids = make_traced_system()
-        events = system.tracer.events
+        events = system.probe.tracer.events
         text = to_jsonl(events)
         assert text == to_jsonl(events)  # stable re-serialization
         rows = read_jsonl(text)
@@ -141,14 +141,14 @@ class TestExport:
 
     def test_chrome_trace_validates(self):
         system, _rids = make_traced_system()
-        doc = to_chrome_trace(system.tracer.events)
+        doc = to_chrome_trace(system.probe.tracer.events)
         assert validate_chrome_trace(doc) == []
         # Thread names: one metadata row per simulated node.
         meta = [r for r in doc["traceEvents"] if r["ph"] == "M"]
         named = {r["args"]["name"] for r in meta}
         assert "server" in named
-        assert chrome_trace_json(system.tracer.events) == \
-            chrome_trace_json(system.tracer.events)
+        assert chrome_trace_json(system.probe.tracer.events) == \
+            chrome_trace_json(system.probe.tracer.events)
 
     def test_validator_flags_broken_docs(self):
         assert validate_chrome_trace([]) == \
@@ -179,15 +179,15 @@ class TestExport:
 class TestDisabledByDefault:
     def test_no_tracer_unless_configured(self):
         system = ClientServerSystem(SystemConfig(), client_ids=["C1"])
-        assert system.tracer is None
-        assert system.server.pool.tracer is None
-        assert system.network.tracer is None
+        assert system.probe.tracer is None
+        assert system.server.pool.probe is system.probe
+        assert system.network.probe is system.probe
 
     def test_attach_later_covers_new_clients(self):
         system = ClientServerSystem(SystemConfig(), client_ids=["C1"])
         tracer = Tracer()
         system.attach_tracer(tracer)
         late = system.add_client("C9")
-        assert late.tracer is tracer
-        assert late.pool.tracer is tracer
-        assert late.llm.tracer is tracer
+        assert late.probe.tracer is tracer
+        assert late.pool.probe is system.probe
+        assert late.llm.probe is system.probe

@@ -285,7 +285,7 @@ class TestReplicaCoherence:
         applied_before = standby.applied_addr
         unapplied_before = dict(standby._unapplied)
         plan = FailOneWrite(nth=2)
-        standby.disk.faults = plan
+        standby.disk.probe.faults = plan
         with pytest.raises(TransientIOError):
             standby.apply_tail()
         assert plan.faults_injected == 1
@@ -298,7 +298,7 @@ class TestReplicaCoherence:
         standby.apply_tail()  # the retry
         assert standby.applied_addr == standby.log.flushed_addr
         assert_held_pages_on_disk(standby)
-        standby.disk.faults = None
+        standby.disk.probe.faults = None
         committed_round(system, oracle, rids, "third")
         system.crash_server()
         rep.run_failover()

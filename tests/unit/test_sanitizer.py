@@ -193,7 +193,7 @@ def _rec(lsn):
 class TestRealComponents:
     def test_buffer_pool_inversion(self, san):
         pool = BufferPool(8, name="C1-pool")
-        pool.sanitizer = san
+        pool.probe.sanitizer = san
         pool.admit(Page(1))
         pool.admit(Page(2))
         with pool.fixed(1):
@@ -208,9 +208,9 @@ class TestRealComponents:
 
     def test_lock_table_acquisition_edges(self, san):
         pool = BufferPool(8, name="C1-pool")
-        pool.sanitizer = san
+        pool.probe.sanitizer = san
         table = LockTable("llm-C1")
-        table.sanitizer = san
+        table.probe.sanitizer = san
         pool.admit(Page(1))
         table.acquire("T1", ("t", 1), LockMode.X)
         with pool.fixed(1):
@@ -221,14 +221,14 @@ class TestRealComponents:
 
     def test_lock_table_conversion_no_self_edge(self, san):
         table = LockTable("glm-logical")
-        table.sanitizer = san
+        table.probe.sanitizer = san
         table.acquire("C1", ("t", 1), LockMode.S)
         table.acquire("C1", ("t", 1), LockMode.X)  # conversion, same hold
         assert (LOCK_LOGICAL, LOCK_LOGICAL) not in san.observed_edges()
 
     def test_stable_log_wal_violation(self, san):
         log = StableLog()
-        log.sanitizer = san
+        log.probe.sanitizer = san
         log.append(_rec(1))
         log.append(_rec(2))
         with pytest.raises(SanitizerViolation) as exc:
@@ -239,7 +239,7 @@ class TestRealComponents:
 
     def test_stable_log_crash_settles_obligations(self, san):
         log = StableLog()
-        log.sanitizer = san
+        log.probe.sanitizer = san
         log.append(_rec(1))
         log.crash()  # the unforced tail is gone; nothing is pending
         san.on_page_externalize(1, 1)

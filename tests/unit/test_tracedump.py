@@ -93,7 +93,7 @@ class TestRecoveryTimeline:
         client._ship_log_records()
         system.crash_client("C1")
 
-        text = recovery_timelines(system.tracer.events)
+        text = recovery_timelines(system.probe.tracer.events)
         assert "recovery timeline: client-recovery (client=C1)" in text
         for pass_name in ("analysis", "redo", "undo"):
             assert any(line.strip().startswith(pass_name)
