@@ -10,7 +10,7 @@ required) proves the guard is cheap and the enabled path still works:
   deleted.  ``--check`` fails unless the instrumented-disabled run is
   within :data:`MAX_DISABLED_OVERHEAD` of baseline.
 * **enabled smoke** — the same engine workload run twice on a full
-  complex, once with ``SystemConfig(sanitizer=True)`` and once without;
+  complex, once with ``system.attach_sanitizer(...)`` and once without;
   the armed run must finish violation-free with a non-empty observed
   acquisition-order graph, and the metrics deltas of the two runs must
   be identical (the sanitizer owns no counters).
@@ -243,15 +243,17 @@ def run_enabled_smoke():
     from repro.core.system import ClientServerSystem
     from repro.engine import Engine
     from repro.harness import metrics
+    from repro.sanitizer import Sanitizer
     from repro.workloads.generator import seed_table
 
     deltas = []
     edges = 0
     for armed in (False, True):
         config = SystemConfig(client_checkpoint_interval=0,
-                              server_checkpoint_interval=0,
-                              sanitizer=armed)
+                              server_checkpoint_interval=0)
         system = ClientServerSystem(config, client_ids=["C1", "C2"])
+        if armed:
+            system.attach_sanitizer(Sanitizer())
         system.bootstrap(data_pages=8, free_pages=16)
         rids = seed_table(system, "C1", "t", 8, 4)
         programs = [

@@ -226,33 +226,6 @@ class SystemConfig:
     #: (rendered by ``tools.logdump.message_trace``; 0 disables).
     message_trace_depth: int = 0
 
-    #: Build and attach a :class:`repro.obs.Tracer` to every instrumented
-    #: subsystem of the complex.  Off by default: an unattached hook
-    #: costs one probe guard (the CI bench gate holds it ≤ 3%).
-    trace_enabled: bool = False
-
-    #: Build and attach a :class:`repro.obs.hist.MetricsHub` — the
-    #: deterministic histogram / time-series plane (txn latency, lock
-    #: waits, RPC round trips, log-force bytes, group-commit batches,
-    #: recovery-pass sizes, restart progress) surfaced through
-    #: ``harness.metrics.snapshot().histograms``.  Off by default: an
-    #: unattached observation site costs one probe guard (the CI bench
-    #: gate holds the disabled path ≤ 3%).
-    metrics_enabled: bool = False
-
-    #: Arm the per-node crash flight recorder with rings of this many
-    #: recent trace events (0 disables).  Arming attaches a tracer if
-    #: none is configured, since the recorder taps the trace stream.
-    flight_recorder_depth: int = 0
-
-    #: Build and attach a :class:`repro.sanitizer.Sanitizer` to every
-    #: latch/lock/log hook of the complex.  The sanitizer raises
-    #: :class:`repro.sanitizer.SanitizerViolation` on latch/lock order
-    #: inversions, unpaired fixes at operation exit, and unforced-log
-    #: page externalization.  Off by default: an unattached hook costs
-    #: one probe guard (the CI bench gate holds it ≤ 5%).
-    sanitizer: bool = False
-
     #: The unified fault plane (``repro.faults``): one seeded plan that
     #: drives *all* injection — transport drops/delays, torn page
     #: writes, transient I/O errors, partial log flushes, and armed
@@ -281,7 +254,25 @@ class SystemConfig:
 
     @staticmethod
     def esm_cs(**kwargs: object) -> "SystemConfig":
-        """Client-server EXODUS as described in section 4.1."""
+        """Client-server EXODUS as described in section 4.1.
+
+        * **force-to-server-at-commit** — every page the transaction
+          modified is shipped to the server before the commit is
+          acknowledged;
+        * **purge-at-commit** — the client's entire buffer pool is
+          emptied at transaction termination;
+        * **page-level locking only** — no record locks;
+        * **server-side rollback with conditional undo** — clients
+          perform no recovery actions, so the server undoes on its own
+          page versions, writing CLRs even for updates its versions
+          never contained (ARIES-RRH style); logical undo is
+          impossible, so B+-tree operations reject this path;
+        * **CDPL logging** — the transaction's Commit Dirty Page List is
+          logged before its commit record, substituting for client
+          checkpoints during analysis;
+        * **no client checkpoints** — failed-client recovery information
+          lives in the GLM lock table.
+        """
         base = SystemConfig(
             lock_granularity=LockGranularity.PAGE,
             commit_page_policy=CommitPagePolicy.FORCE_TO_SERVER,
@@ -297,7 +288,15 @@ class SystemConfig:
 
     @staticmethod
     def objectstore(**kwargs: object) -> "SystemConfig":
-        """ObjectStore-style policies as described in section 4.2."""
+        """ObjectStore-style policies as described in section 4.2.
+
+        Per the paper's description of [LLOW91]: at commit time modified
+        pages are sent to the server *and written to disk* before the
+        commit is acknowledged; pages stay cached at the client
+        afterwards; page is the smallest locking granularity.  Beyond
+        the use of WAL the original paper says nothing more about
+        recovery, so this is exactly the published policy surface.
+        """
         base = SystemConfig(
             lock_granularity=LockGranularity.PAGE,
             commit_page_policy=CommitPagePolicy.FORCE_TO_DISK,
@@ -310,7 +309,17 @@ class SystemConfig:
 
     @staticmethod
     def no_client_checkpoints(**kwargs: object) -> "SystemConfig":
-        """Section 2.6.2's variant: recovery info in the GLM lock table."""
+        """Section 2.6.2's variant: recovery info in the GLM lock table.
+
+        Clients take no checkpoints; the server keeps, in the GLM lock
+        table entry of each update-privilege P-lock, the log address
+        (RecAddr) from which a failed holder's updates would have to be
+        redone.  The paper prefers client checkpoints because coarse
+        (table) locking leaves the server unable to enumerate the DPL,
+        and the lock-table RecAddr goes stale while a client holds the
+        privilege without updating (footnote 5).  Experiment E5
+        measures exactly that staleness.
+        """
         base = SystemConfig(
             lock_granularity=LockGranularity.PAGE,
             client_recovery_info=ClientRecoveryInfo.GLM_LOCK_TABLE,

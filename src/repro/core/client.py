@@ -140,7 +140,7 @@ class Client:
         #: CLRs this client wrote during normal (client-side) rollbacks.
         self.clrs_written_locally = 0
         #: Space-map page updates applied by this client (allocate /
-        #: deallocate), surfaced through the metrics registry.
+        #: deallocate), surfaced through metric snapshots.
         self.smp_updates = 0
 
         server.connect_client(self)

@@ -206,9 +206,6 @@ class GlobalTransactionTracker:
             bounds.append(min(self._floors.values()) + 1)
         return min(bounds) if bounds else NULL_LSN + 1
 
-    def floor_of(self, client_id: str) -> LSN:
-        return self._floors.get(client_id, NULL_LSN)
-
     def floor_bound(self) -> LSN:
         """The floors-only Commit_LSN bound (no active-transaction term).
 

@@ -327,10 +327,6 @@ class Server:
         self._interactions.setdefault(client.client_id, 0)
         self.tracker.register_client(client.client_id)
 
-    def disconnect_client(self, client_id: str) -> None:
-        self._clients.pop(client_id, None)
-        self.tracker.forget_client(client_id)
-
     def operational_clients(self) -> List[str]:
         return sorted(
             client_id for client_id in self._clients

@@ -52,17 +52,8 @@ class ClientServerSystem:
         #: Present only when the warm standby is on; attachment is the
         #: enable switch (DESIGN §15).
         self.replication: Optional["ReplicationManager"] = None
-        if self.config.trace_enabled:
-            self.attach_tracer(Tracer())
         if self.config.fault_plan is not None:
             self.attach_faults(self.config.fault_plan)
-        if self.config.sanitizer:
-            self.attach_sanitizer(Sanitizer())
-        if self.config.metrics_enabled:
-            self.attach_metrics(MetricsHub())
-        if self.config.flight_recorder_depth > 0:
-            self.attach_flight(
-                FlightRecorder(self.config.flight_recorder_depth))
         self._tables: Dict[str, List[int]] = {}
         self._page_table: Dict[int, str] = {}
         self._free_pool: List[int] = []

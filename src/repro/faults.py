@@ -176,7 +176,7 @@ class FaultPlan:
     tracer: Optional["Tracer"] = field(default=None, repr=False,
                                        compare=False)
 
-    # -- public counters (registered in repro.obs.registry) ---------------
+    # -- public counters (read out by harness.metrics.snapshot) -----------
     faults_injected: int = field(default=0, compare=False)
     torn_writes: int = field(default=0, compare=False)
     io_retries: int = field(default=0, compare=False)

@@ -57,7 +57,7 @@ from repro.harness.invariants import check_all
 from repro.harness.oracle import CommittedStateOracle
 from repro.obs.flight import FlightRecorder
 from repro.records.heap import RecordId
-from repro.sanitizer import SanitizerViolation
+from repro.sanitizer import Sanitizer, SanitizerViolation
 from repro.storage.page import PageKind
 from repro.workloads.generator import seed_table
 
@@ -194,22 +194,23 @@ class _WorkloadRun:
         self.outcomes: Dict[str, str] = {}
         # Small pools force steals and evictions; manual checkpoints
         # keep the script in charge of every seam it exercises.
-        # ``sanitizer`` arms the runtime latch/lock-order sanitizer for
-        # the whole run; a violation is a BaseException and fails the
-        # schedule loudly rather than becoming a recorded violation.
         config = SystemConfig(
             client_buffer_frames=6,
             server_buffer_frames=6,
             client_checkpoint_interval=0,
             server_checkpoint_interval=0,
             max_lsn_sync_period=4,
-            sanitizer=sanitizer,
             replication_enabled=replication,
             # Small apply interval so the standby's apply loop (and its
             # crashpoint) actually runs during the scripted workload.
             standby_apply_interval=4 if replication else 64,
         )
         self.system = ClientServerSystem(config, client_ids=("C1", "C2"))
+        # ``sanitizer`` arms the runtime latch/lock-order sanitizer for
+        # the whole run; a violation is a BaseException and fails the
+        # schedule loudly rather than becoming a recorded violation.
+        if sanitizer:
+            self.system.attach_sanitizer(Sanitizer())
         self.system.bootstrap(data_pages=6, free_pages=8)
         self.rids = seed_table(self.system, "C1", "t", 6, 3)
         for index, rid in enumerate(self.rids):

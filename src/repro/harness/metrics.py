@@ -5,13 +5,10 @@ messages, bytes, page I/O, log volume, forces, lock calls, cache hit
 rates — the counter-based cost model DESIGN.md's substitution table
 explains.
 
-:func:`snapshot` is a pure collection over the central
-:class:`~repro.obs.registry.MetricsRegistry`: each subsystem registers
-its counters once (``repro.obs.registry``), and the snapshot dataclass
-is simply the registry's field set frozen at one instant.  A unit test
-asserts the registry's names and :class:`MetricsSnapshot`'s fields stay
-identical, so a counter cannot be registered without surfacing here or
-vice versa.
+:func:`snapshot` reads every counter straight off the complex, one
+keyword per :class:`MetricsSnapshot` field.  The counter fields have no
+defaults, so a field without a reading (or a reading without a field)
+fails with ``TypeError`` the first time a snapshot is taken.
 """
 
 from __future__ import annotations
@@ -20,92 +17,88 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict
 
 from repro.core.system import ClientServerSystem
-from repro.obs.registry import MetricsRegistry, build_default_registry
-
-#: The registry behind every snapshot (module-level: built once).
-DEFAULT_REGISTRY: MetricsRegistry = build_default_registry()
+from repro.net.messages import MsgType
 
 
 @dataclass(frozen=True)
 class MetricsSnapshot:
     """Cumulative counters for one complex at one instant."""
 
-    messages: int = 0
-    message_bytes: int = 0
-    page_ships: int = 0
-    page_requests: int = 0
-    log_ships: int = 0
-    lock_requests: int = 0
-    p_lock_requests: int = 0
-    callbacks: int = 0
-    lsn_requests: int = 0
+    messages: int
+    message_bytes: int
+    page_ships: int
+    page_requests: int
+    log_ships: int
+    lock_requests: int
+    p_lock_requests: int
+    callbacks: int
+    lsn_requests: int
 
-    disk_reads: int = 0
-    disk_writes: int = 0
-    log_appends: int = 0
-    log_forces: int = 0
-    log_bytes: int = 0
+    disk_reads: int
+    disk_writes: int
+    log_appends: int
+    log_forces: int
+    log_bytes: int
     #: Group commit (PR 3): commit forces that rode another device force.
-    forces_saved: int = 0
+    forces_saved: int
     #: Device forces that covered a whole deferred-commit group.
-    group_forces: int = 0
-    wal_forces: int = 0
-    commit_forces: int = 0
+    group_forces: int
+    wal_forces: int
+    commit_forces: int
 
     #: Media-recovery I/O: backup copies read back from the archive.
-    archive_reads: int = 0
+    archive_reads: int
     #: Page copies written into the archive by backups.
-    archive_writes: int = 0
+    archive_writes: int
     #: Space-map page updates (allocate/deallocate) across all clients.
-    smp_updates: int = 0
+    smp_updates: int
 
-    client_lock_calls: int = 0
-    locks_avoided: int = 0
-    llm_local_grants: int = 0
-    glm_requests: int = 0
+    client_lock_calls: int
+    locks_avoided: int
+    llm_local_grants: int
+    glm_requests: int
     #: Reduce-callback rounds skipped because a conflicting holder had
     #: already confirmed (since its last interaction) it still needs
     #: the resource — only populated with lock caching off.
-    callbacks_suppressed: int = 0
+    callbacks_suppressed: int
 
-    client_cache_hits: int = 0
-    client_cache_misses: int = 0
-    commits: int = 0
-    aborts: int = 0
-    pages_shipped_at_commit: int = 0
+    client_cache_hits: int
+    client_cache_misses: int
+    commits: int
+    aborts: int
+    pages_shipped_at_commit: int
 
     #: Transport-fault counters (all zero under ReliableTransport).
-    message_drops: int = 0
-    message_retries: int = 0
-    rpc_timeouts: int = 0
+    message_drops: int
+    message_retries: int
+    rpc_timeouts: int
     #: Whole simulated ticks spent in seeded retry backoff.
-    backoff_ticks: int = 0
+    backoff_ticks: int
     #: Requests rejected because the sender was fenced at a stale
     #: failover epoch.
-    stale_epoch_rejections: int = 0
+    stale_epoch_rejections: int
 
     #: Fault-plane counters (all zero with no FaultPlan attached).
-    faults_injected: int = 0
-    torn_writes: int = 0
-    io_retries: int = 0
-    crashpoints_hit: int = 0
-    schedules_explored: int = 0
+    faults_injected: int
+    torn_writes: int
+    io_retries: int
+    crashpoints_hit: int
+    schedules_explored: int
 
     #: Replication counters (all zero with no ReplicationManager).
-    frames_shipped: int = 0
-    ship_acks: int = 0
-    records_applied: int = 0
-    heartbeats_sent: int = 0
-    heartbeats_missed: int = 0
-    failovers: int = 0
+    frames_shipped: int
+    ship_acks: int
+    records_applied: int
+    heartbeats_sent: int
+    heartbeats_missed: int
+    failovers: int
     #: Logical ticks spent inside promotions (detection to takeover).
-    failover_ticks: int = 0
+    failover_ticks: int
 
-    #: Histogram / time-series states keyed by manifest name
-    #: (``TRACKED_HISTOGRAM_ATTRS`` / ``TRACKED_TIMESERIES_ATTRS``).
-    #: Empty unless a ``MetricsHub`` is attached to the complex
-    #: (``SystemConfig.metrics_enabled``).  Excluded from equality and
-    #: ``minus`` arithmetic: distribution state is cumulative, so a
+    #: Histogram / time-series states keyed by ``MetricsHub``
+    #: instrument name.  Empty unless a hub is attached to the complex
+    #: (``ClientServerSystem.attach_metrics``).  Excluded from equality
+    #: and ``minus`` arithmetic: distribution state is cumulative, so a
     #: delta snapshot simply carries the later state.
     histograms: Dict[str, Any] = field(default_factory=dict, compare=False)
 
@@ -138,10 +131,85 @@ class MetricsSnapshot:
 
 
 def snapshot(system: ClientServerSystem) -> MetricsSnapshot:
-    """Capture the complex's cumulative counters via the registry."""
+    """Capture the complex's cumulative counters.
+
+    Server-node readings cover every server that has served the
+    complex: the promoted server's counters do not hold the old
+    primary's work, so after a failover the fenced old primary's totals
+    are added back and a delta across the promotion never goes negative.
+    """
+    servers = [system.server]
+    replication = system.replication
+    if replication is not None and replication.old_primary is not None:
+        servers.append(replication.old_primary)
+    clients = system.clients.values()
+    net = system.network.stats
+    plan = system.probe.faults
+    hub = system.probe.metrics
+
+    def on_servers(read: Callable[[Any], int]) -> int:
+        return sum(read(server) for server in servers)
+
+    def on_clients(read: Callable[[Any], int]) -> int:
+        return sum(read(client) for client in clients)
+
+    def on_plan(attr: str) -> int:
+        return getattr(plan, attr) if plan is not None else 0
+
+    def on_replication(attr: str) -> int:
+        return getattr(replication, attr) if replication is not None else 0
+
     return MetricsSnapshot(
-        histograms=DEFAULT_REGISTRY.collect_histograms(system),
-        **DEFAULT_REGISTRY.collect(system),
+        messages=net.messages,
+        message_bytes=net.bytes,
+        page_ships=net.count(MsgType.PAGE_SHIP),
+        page_requests=net.count(MsgType.PAGE_REQUEST),
+        log_ships=net.count(MsgType.LOG_SHIP),
+        lock_requests=net.count(MsgType.LOCK_REQUEST),
+        p_lock_requests=net.count(MsgType.P_LOCK_REQUEST),
+        callbacks=net.count(MsgType.CALLBACK),
+        lsn_requests=net.count(MsgType.LSN_REQUEST),
+        disk_reads=on_servers(lambda s: s.disk.reads),
+        disk_writes=on_servers(lambda s: s.disk.writes),
+        log_appends=on_servers(lambda s: s.log.stable.appends),
+        log_forces=on_servers(lambda s: s.log.stable.forces),
+        log_bytes=on_servers(lambda s: s.log.stable.bytes_appended),
+        forces_saved=on_servers(lambda s: s.log.group.forces_saved),
+        group_forces=on_servers(lambda s: s.log.group.group_forces),
+        wal_forces=on_servers(lambda s: s.wal_forces),
+        commit_forces=on_servers(lambda s: s.commit_forces),
+        archive_reads=on_servers(lambda s: s.archive.archive_reads),
+        archive_writes=on_servers(lambda s: s.archive.archive_writes),
+        smp_updates=on_clients(lambda c: c.smp_updates),
+        client_lock_calls=on_clients(lambda c: c.lock_calls),
+        locks_avoided=on_clients(lambda c: c.locks_avoided_by_commit_lsn),
+        llm_local_grants=on_clients(lambda c: c.llm.local_only_grants),
+        glm_requests=on_servers(lambda s: s.glm.logical_requests),
+        callbacks_suppressed=on_servers(lambda s: s.callbacks_suppressed),
+        client_cache_hits=on_clients(lambda c: c.pool.hits),
+        client_cache_misses=on_clients(lambda c: c.pool.misses),
+        commits=on_clients(lambda c: c.commits),
+        aborts=on_clients(lambda c: c.aborts),
+        pages_shipped_at_commit=on_clients(
+            lambda c: c.pages_shipped_at_commit),
+        message_drops=net.drops,
+        message_retries=net.retries,
+        rpc_timeouts=net.timeouts,
+        backoff_ticks=net.backoff_ticks,
+        stale_epoch_rejections=net.stale_epoch_rejections,
+        faults_injected=on_plan("faults_injected"),
+        torn_writes=on_plan("torn_writes"),
+        io_retries=on_plan("io_retries"),
+        crashpoints_hit=on_plan("crashpoints_hit"),
+        schedules_explored=on_plan("schedules_explored"),
+        frames_shipped=on_replication("frames_shipped"),
+        ship_acks=on_replication("ship_acks"),
+        records_applied=on_replication("records_applied"),
+        heartbeats_sent=on_replication("heartbeats_sent"),
+        heartbeats_missed=on_replication("heartbeats_missed"),
+        failovers=on_replication("failovers"),
+        failover_ticks=on_replication("failover_ticks"),
+        histograms=hub.state() if hub is not None else {},
     )
 
 

@@ -207,7 +207,3 @@ class GlobalLockManager:
     @property
     def logical_requests(self) -> int:
         return self.logical.requests
-
-    @property
-    def physical_requests(self) -> int:
-        return self.physical.requests

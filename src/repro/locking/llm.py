@@ -101,10 +101,6 @@ class LocalLockManager:
                 self._glm_release(resource)
                 del self._global_held[resource]
 
-    def forget_transaction(self, txn_id: str) -> None:
-        """Client-crash path: local state vanished; nothing to message."""
-        self.local.release_all(txn_id)
-
     # -- server callbacks ---------------------------------------------------------
 
     def try_relinquish(self, resource: Resource) -> bool:
@@ -155,6 +151,3 @@ class LocalLockManager:
     def global_locks_snapshot(self) -> Dict[Resource, LockMode]:
         """For server lock-table reconstruction after a server crash."""
         return dict(self._global_held)
-
-    def drop_global(self, resource: Resource) -> None:
-        self._global_held.pop(resource, None)

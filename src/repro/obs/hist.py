@@ -27,10 +27,8 @@ hub's own observation counter), which is the same determinism argument
 the tracer makes (DESIGN §9).
 
 :class:`MetricsHub` is the attachment object: one public attribute per
-manifest name (``TRACKED_HISTOGRAM_ATTRS`` /
-``TRACKED_TIMESERIES_ATTRS`` in :mod:`repro.obs.registry`), attached as
-the complex probe's ``metrics`` plane (DESIGN §9, "Probe"), so the
-disabled path stays within the obs overhead gate.
+instrument, attached as the complex probe's ``metrics`` plane (DESIGN
+§9, "Probe"), so the disabled path stays within the obs overhead gate.
 """
 
 from __future__ import annotations
@@ -196,13 +194,13 @@ class TimeSeries:
 
 
 class MetricsHub:
-    """One public instrument per manifest name, plus a logical clock.
+    """One public instrument per distribution metric, plus a logical clock.
 
     Attached via ``ClientServerSystem.attach_metrics`` as
     ``system.probe.metrics``; every observation site is guarded by
-    ``probe.metrics is not None``.  The attribute names here are the
-    single source of truth the registry manifests (and lint rule
-    OBS002) must match — a closed loop the unit tests assert.
+    ``probe.metrics is not None``.  ``__slots__`` is the single list of
+    instrument names: ``state()`` reports them and lint rule OBS002
+    flags an observation into any other.
     """
 
     __slots__ = (

@@ -71,7 +71,7 @@ class ReplicationManager:
         #: Last address the standby durably acknowledged.
         self.ship_hw: LogAddr = 0
 
-        # Counters (registered in repro.obs.registry).
+        # Counters (read out by harness.metrics.snapshot).
         self.frames_shipped = 0
         self.ship_acks = 0
         self.records_applied = 0

@@ -269,12 +269,6 @@ class BufferPool:
         if sanitizer is not None:
             sanitizer.on_pool_clear(self.name)
 
-    def reset_counters(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.dirty_evictions = 0
-
 
 def _min_lsn(a: LSN, b: LSN) -> LSN:
     if a == NULL_LSN:

@@ -107,9 +107,3 @@ class Disk:
 
     def has_media_failure(self, page_id: int) -> bool:
         return page_id in self._failed_pages
-
-    def reset_counters(self) -> None:
-        self.reads = 0
-        self.writes = 0
-        self.bytes_read = 0
-        self.bytes_written = 0

@@ -1,10 +1,5 @@
-"""Developer tools: log inspection and debugging aids."""
+"""Developer tools: log inspection and debugging aids.
 
-from repro.tools.logdump import (
-    dump_log,
-    page_history,
-    summarize,
-    transaction_history,
-)
-
-__all__ = ["dump_log", "page_history", "summarize", "transaction_history"]
+Run them as modules: ``python -m repro.tools.logdump`` and
+``python -m repro.tools.tracedump``.
+"""

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.obs.export import event_to_dict
-from repro.obs.tracer import TraceEvent
+from repro.obs.tracer import TraceEvent, Tracer
 
 #: Accepted event stream shapes: live tracer events or parsed JSONL rows.
 EventStream = Union[Sequence[TraceEvent], Sequence[Dict[str, Any]]]
@@ -212,14 +212,16 @@ def _demo_system(flight_depth: int = 0):
     """An E5-style run: committed work, then a client dies mid-transaction."""
     from repro.config import SystemConfig
     from repro.core.system import ClientServerSystem
+    from repro.obs.flight import FlightRecorder
+    from repro.obs.hist import MetricsHub
     from repro.workloads.generator import seed_table
 
-    system = ClientServerSystem(
-        SystemConfig(trace_enabled=True, metrics_enabled=True,
-                     client_checkpoint_interval=4,
-                     flight_recorder_depth=flight_depth),
-        client_ids=["C1", "C2"],
-    )
+    system = ClientServerSystem(SystemConfig(client_checkpoint_interval=4),
+                                client_ids=["C1", "C2"])
+    system.attach_tracer(Tracer())
+    system.attach_metrics(MetricsHub())
+    if flight_depth:
+        system.attach_flight(FlightRecorder(flight_depth))
     system.bootstrap(data_pages=8)
     rids = seed_table(system, "C1", "demo", 4, 4)
     client = system.client("C1")

@@ -2,18 +2,16 @@
 
 import pytest
 
-from repro.baselines import (
-    make_esm_cs_system,
-    make_no_client_ckpt_system,
-    make_objectstore_system,
-)
+from repro.config import SystemConfig
 from repro.core.log_records import CDPLRecord
+from repro.core.system import ClientServerSystem
 from repro.workloads.generator import seed_table
 
 
 class TestEsmCs:
     def make(self):
-        system = make_esm_cs_system(client_ids=("C1", "C2"))
+        system = ClientServerSystem(SystemConfig.esm_cs(),
+                                    client_ids=("C1", "C2"))
         system.bootstrap(data_pages=8, free_pages=8)
         rids = seed_table(system, "C1", "t", 8, 2)
         return system, rids
@@ -128,7 +126,8 @@ class TestEsmCs:
 
 class TestObjectStore:
     def make(self):
-        system = make_objectstore_system(client_ids=("C1",))
+        system = ClientServerSystem(SystemConfig.objectstore(),
+                                    client_ids=("C1",))
         system.bootstrap(data_pages=8, free_pages=8)
         rids = seed_table(system, "C1", "t", 8, 2)
         return system, rids
@@ -164,7 +163,8 @@ class TestObjectStore:
 
 class TestNoClientCkptVariant:
     def test_recovery_correct_without_checkpoints(self):
-        system = make_no_client_ckpt_system(client_ids=("C1",))
+        system = ClientServerSystem(SystemConfig.no_client_checkpoints(),
+                                    client_ids=("C1",))
         system.bootstrap(data_pages=8, free_pages=8)
         rids = seed_table(system, "C1", "t", 8, 2)
         client = system.client("C1")

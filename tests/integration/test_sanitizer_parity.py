@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import pytest
-
 from repro.analysis.dataflow import build_lockgraph
 from repro.analysis.project import Project
 from repro.config import SystemConfig
@@ -33,6 +31,7 @@ from repro.core.system import ClientServerSystem
 from repro.engine import Engine
 from repro.harness import metrics
 from repro.harness.chaos import CrashScheduleExplorer
+from repro.sanitizer import Sanitizer
 from repro.storage.page import PageKind
 from repro.workloads.generator import seed_table
 
@@ -45,9 +44,10 @@ def build_system(sanitizer: bool):
         server_buffer_frames=8,
         client_checkpoint_interval=0,
         server_checkpoint_interval=0,
-        sanitizer=sanitizer,
     )
     system = ClientServerSystem(config, client_ids=["C1", "C2"])
+    if sanitizer:
+        system.attach_sanitizer(Sanitizer())
     system.bootstrap(data_pages=8, free_pages=16)
     rids = seed_table(system, "C1", "t", 8, 4)
     return system, rids

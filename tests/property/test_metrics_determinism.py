@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import SystemConfig
 from repro.core.system import ClientServerSystem
+from repro.obs.hist import MetricsHub
 from repro.workloads.generator import seed_table
 
 SLOW = settings(max_examples=15, deadline=None,
@@ -21,10 +22,10 @@ SLOW = settings(max_examples=15, deadline=None,
 
 def run_scenario(seed: int, crash_mode: str) -> ClientServerSystem:
     """A seeded workload ending in a crash + recovery, fully metered."""
-    config = SystemConfig(metrics_enabled=True, seed=seed,
-                          client_buffer_frames=5,
+    config = SystemConfig(seed=seed, client_buffer_frames=5,
                           client_checkpoint_interval=3)
     system = ClientServerSystem(config, client_ids=["C1", "C2"])
+    system.attach_metrics(MetricsHub())
     system.bootstrap(data_pages=4, free_pages=4)
     rids = seed_table(system, "C1", "t", 4, 3)
     rng = random.Random(seed)

@@ -1,5 +1,5 @@
-"""Bad observability: ad-hoc counters and instruments outside the
-registry manifests."""
+"""Bad observability: ad-hoc counters outside TRACKED_COUNTER_ATTRS and
+observations into attributes that are not MetricsHub instruments."""
 
 
 class Mutator:

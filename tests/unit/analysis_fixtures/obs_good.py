@@ -1,9 +1,9 @@
-"""Good observability: manifest counters, private state, other receivers."""
+"""Good observability: tracked counters, private state, other receivers."""
 
 
 class Mutator:
     def tracked_counter(self):
-        # In repro.obs.registry.TRACKED_COUNTER_ATTRS -> registered.
+        # In OBS001's TRACKED_COUNTER_ATTRS -> read out by snapshots.
         self.evictions += 1
 
     def private_state(self):
@@ -19,11 +19,11 @@ class Mutator:
         self.high_water = max(self.high_water, 9)
 
     def tracked_histogram(self, metrics, ticks):
-        # In repro.obs.registry.TRACKED_HISTOGRAM_ATTRS -> in snapshots.
+        # A MetricsHub histogram -> in snapshots.
         metrics.txn_latency_ticks.observe(ticks)
 
     def tracked_series(self, metrics, tick, done):
-        # In repro.obs.registry.TRACKED_TIMESERIES_ATTRS.
+        # A MetricsHub time series.
         metrics.engine_progress.sample(tick, done)
 
     def local_instrument(self, hist, value):

@@ -160,7 +160,7 @@ def test_repo_tree_is_protocol_clean():
     # Inline allows claim findings in exactly: the offline-bootstrap
     # format and its unlogged writes, the SMP-first privilege-under-pin
     # sites, the Histogram instrument's own count/sum state (OBS001 is
-    # about ad-hoc counters; the instrument IS the registry's data
+    # about ad-hoc counters; the instrument IS the snapshot's data
     # source), and the network's failover-epoch bump (protocol state,
     # not a metric).  The disk-write funnel and the standby's replica
     # install are not entry points, so WAL100/REC040 check their

@@ -81,18 +81,18 @@ class TestDumps:
 
 
 class TestSystemAttachment:
-    def test_config_knob_attaches_recorder_and_tracer(self):
-        system = ClientServerSystem(
-            SystemConfig(flight_recorder_depth=16), client_ids=["C1"])
+    def test_attach_flight_brings_a_tracer(self):
+        system = ClientServerSystem(SystemConfig(), client_ids=["C1"])
+        system.attach_flight(FlightRecorder(16))
         assert system.probe.flight is not None
         assert system.probe.flight.capacity == 16
         assert system.probe.tracer is not None
         assert system.probe.tracer.flight is system.probe.flight
 
     def test_attach_flight_reuses_existing_tracer(self):
-        system = ClientServerSystem(SystemConfig(trace_enabled=True),
-                                    client_ids=["C1"])
-        tracer = system.probe.tracer
+        system = ClientServerSystem(SystemConfig(), client_ids=["C1"])
+        tracer = Tracer()
+        system.attach_tracer(tracer)
         system.attach_flight(FlightRecorder())
         assert system.probe.tracer is tracer
         assert tracer.flight is system.probe.flight
@@ -100,9 +100,9 @@ class TestSystemAttachment:
     def test_replacing_the_tracer_keeps_the_recorder_armed(self):
         # Regression: attach_tracer used to leave the new tracer's tap
         # empty, so an armed recorder silently stopped ringing events.
-        system = ClientServerSystem(
-            SystemConfig(flight_recorder_depth=64), client_ids=["C1"])
-        recorder = system.probe.flight
+        system = ClientServerSystem(SystemConfig(), client_ids=["C1"])
+        recorder = FlightRecorder(64)
+        system.attach_flight(recorder)
         tracer = Tracer()
         system.attach_tracer(tracer)
         assert tracer.flight is recorder
@@ -116,9 +116,8 @@ class TestSystemAttachment:
 
     def test_workload_fills_rings(self):
         system = ClientServerSystem(
-            SystemConfig(flight_recorder_depth=32,
-                         client_checkpoint_interval=4),
-            client_ids=["C1"])
+            SystemConfig(client_checkpoint_interval=4), client_ids=["C1"])
+        system.attach_flight(FlightRecorder(32))
         system.bootstrap(data_pages=4, free_pages=4)
         from repro.workloads.generator import seed_table
         rids = seed_table(system, "C1", "t", 4, 2)

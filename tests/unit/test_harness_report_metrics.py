@@ -87,5 +87,6 @@ class TestMetricsSnapshot:
         assert set(data) >= {"disk_reads", "log_forces", "commits"}
 
     def test_hit_rate_zero_when_no_accesses(self):
-        snap = metrics.MetricsSnapshot()
+        snap = metrics.snapshot(
+            ClientServerSystem(SystemConfig(), client_ids=["C1"]))
         assert snap.client_cache_hit_rate == 0.0

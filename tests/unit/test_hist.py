@@ -1,9 +1,8 @@
 """Unit tests: deterministic histograms, time series, and the hub.
 
-The closed loop the manifests promise: every ``MetricsHub`` attribute
-is listed in ``TRACKED_HISTOGRAM_ATTRS``/``TRACKED_TIMESERIES_ATTRS``,
-every listed attribute shows up in ``harness.metrics.snapshot()``, and
-instrument states serialize byte-identically across same-seed runs.
+Every public ``MetricsHub`` slot is an instrument, every instrument
+shows up in ``harness.metrics.snapshot()``, and instrument states
+serialize byte-identically across same-seed runs.
 """
 
 import json
@@ -15,10 +14,6 @@ from repro.core.system import ClientServerSystem
 from repro.engine import Engine
 from repro.harness.metrics import snapshot
 from repro.obs.hist import Histogram, MetricsHub, TimeSeries
-from repro.obs.registry import (
-    TRACKED_HISTOGRAM_ATTRS,
-    TRACKED_TIMESERIES_ATTRS,
-)
 from repro.workloads.generator import seed_table
 
 
@@ -108,17 +103,23 @@ class TestTimeSeries:
         assert list(series.state()["meta"]) == ["a_extent", "z_extent"]
 
 
+#: The hub's public slots: the one list of instrument names.
+HUB_INSTRUMENTS = {name for name in MetricsHub.__slots__
+                   if not name.startswith("_")}
+
+
 class TestMetricsHub:
     def test_attrs_close_the_manifest_loop(self):
         hub = MetricsHub()
-        assert set(hub.histogram_names()) == TRACKED_HISTOGRAM_ATTRS
-        assert set(hub.timeseries_names()) == TRACKED_TIMESERIES_ATTRS
+        histograms = set(hub.histogram_names())
+        series = set(hub.timeseries_names())
+        assert histograms | series == HUB_INSTRUMENTS
+        assert not histograms & series
 
     def test_state_covers_every_instrument(self):
         hub = MetricsHub()
         state = hub.state()
-        assert set(state) == \
-            TRACKED_HISTOGRAM_ATTRS | TRACKED_TIMESERIES_ATTRS
+        assert set(state) == HUB_INSTRUMENTS
         assert hub.state_json() == MetricsHub().state_json()
 
     def test_next_tick_monotonic(self):
@@ -128,10 +129,10 @@ class TestMetricsHub:
 
 def run_contended_engine(seed=7):
     """A metrics-enabled engine run with a real lock conflict."""
-    config = SystemConfig(metrics_enabled=True, seed=seed,
-                          client_checkpoint_interval=0,
+    config = SystemConfig(seed=seed, client_checkpoint_interval=0,
                           server_checkpoint_interval=0)
     system = ClientServerSystem(config, client_ids=["C1", "C2"])
+    system.attach_metrics(MetricsHub())
     system.bootstrap(data_pages=4, free_pages=4)
     rids = seed_table(system, "C1", "t", 4, 4)
     Engine(system).run([

@@ -1,5 +1,9 @@
 """Unit tests for the log inspection tool."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.tools.logdump import (
@@ -118,3 +122,18 @@ class TestLogStats:
         decodes = stable.full_decodes
         log_stats(system.server)
         assert stable.full_decodes == decodes
+
+
+class TestCommandLine:
+    def test_module_runs_clean_under_warnings_as_errors(self):
+        # ``python -m`` must not find the module already imported by its
+        # package (runpy's RuntimeWarning).
+        root = Path(__file__).resolve().parents[2]
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "repro.tools.logdump",
+             "--stats"],
+            cwd=root, capture_output=True, text=True,
+            env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "records" in proc.stdout

@@ -1,25 +1,17 @@
-"""Unit tests: tracer span discipline, metrics registry, exporters."""
-
-import dataclasses
+"""Unit tests: tracer span discipline, metric snapshots, exporters."""
 
 import pytest
 
+from repro.analysis.checkers.observability import TRACKED_COUNTER_ATTRS
 from repro.config import SystemConfig
 from repro.core.system import ClientServerSystem
-from repro.harness.metrics import DEFAULT_REGISTRY, MetricsSnapshot, snapshot
+from repro.harness.metrics import MetricsSnapshot, snapshot
 from repro.obs.export import (
     chrome_trace_json,
     read_jsonl,
     to_chrome_trace,
     to_jsonl,
     validate_chrome_trace,
-)
-from repro.obs.registry import (
-    TRACKED_COUNTER_ATTRS,
-    TRACKED_HISTOGRAM_ATTRS,
-    TRACKED_TIMESERIES_ATTRS,
-    MetricsRegistry,
-    build_default_registry,
 )
 from repro.obs.tracer import Tracer
 from repro.workloads.generator import seed_table
@@ -74,8 +66,8 @@ class TestTracer:
 
 
 def make_traced_system():
-    system = ClientServerSystem(SystemConfig(trace_enabled=True),
-                                client_ids=["C1"])
+    system = ClientServerSystem(SystemConfig(), client_ids=["C1"])
+    system.attach_tracer(Tracer())
     system.bootstrap(data_pages=4, free_pages=4)
     rids = seed_table(system, "C1", "t", 4, 2)
     client = system.client("C1")
@@ -86,22 +78,11 @@ def make_traced_system():
 
 
 class TestRegistry:
-    def test_registry_names_match_snapshot_fields(self):
-        names = set(DEFAULT_REGISTRY.names())
-        fields = {f.name for f in dataclasses.fields(MetricsSnapshot)}
-        # ``histograms`` is the one non-counter field: it carries the
-        # instrument states collected via the histogram providers.
-        assert names == fields - {"histograms"}
-
-    def test_histogram_providers_match_manifests(self):
-        assert set(DEFAULT_REGISTRY.histogram_names()) == \
-            TRACKED_HISTOGRAM_ATTRS | TRACKED_TIMESERIES_ATTRS
-
-    def test_duplicate_registration_rejected(self):
-        registry = MetricsRegistry()
-        registry.register("x", lambda s: 0)
-        with pytest.raises(ValueError):
-            registry.register("x", lambda s: 1)
+    def test_snapshot_counters_have_no_defaults(self):
+        # A field without a reading in ``snapshot`` cannot slip through
+        # as a silent zero: construction needs every counter.
+        with pytest.raises(TypeError):
+            MetricsSnapshot()
 
     def test_collect_sees_live_counters(self):
         system, rids = make_traced_system()
@@ -117,12 +98,12 @@ class TestRegistry:
 
     def test_fresh_registry_collects_on_fresh_system(self):
         system = ClientServerSystem(SystemConfig(), client_ids=["C1"])
-        values = build_default_registry().collect(system)
-        assert all(value == 0 for value in values.values())
+        snap = snapshot(system)
+        assert all(value == 0 for value in snap.as_dict().values())
+        assert snap.histograms == {}
 
     def test_manifest_is_public_attr_names(self):
-        for attr in (TRACKED_COUNTER_ATTRS | TRACKED_HISTOGRAM_ATTRS
-                     | TRACKED_TIMESERIES_ATTRS):
+        for attr in TRACKED_COUNTER_ATTRS:
             assert not attr.startswith("_")
 
 

@@ -20,6 +20,7 @@ from repro.errors import (
     TransientIOError,
 )
 from repro.faults import FaultPlan
+from repro.harness.metrics import snapshot
 from repro.harness.oracle import CommittedStateOracle, verify_durability
 from repro.net.messages import MsgType
 from repro.net.rpc import Envelope, StaleEpochError
@@ -383,6 +384,34 @@ class TestFailover:
         with pytest.raises(ReplicationError):
             system.replication.stale_primary_probe()
 
+    def test_snapshot_delta_across_failover_is_nonnegative(self):
+        """Regression: the promoted server counts from zero, so a delta
+        read only off ``system.server`` went negative (disk reads,
+        commit forces) across a promotion."""
+        config = SystemConfig(replication_enabled=True, seed=11)
+        system = ClientServerSystem(config, client_ids=("C1", "C2"))
+        system.bootstrap(data_pages=16)
+        client = system.client("C1")
+
+        def insert_committed(page_id, value):
+            txn = client.begin()
+            client.insert(txn, page_id, value)
+            client.commit(txn)
+
+        pages = system.create_table("t", 16)
+        for index, page_id in enumerate(pages):
+            insert_committed(page_id, ("v", index))
+        system.server.flush_all()
+        before = snapshot(system)
+        system.crash_server()
+        system.replication.run_failover()
+        insert_committed(pages[0], "after")
+        delta = snapshot(system).minus(before)
+        assert {name: value for name, value in delta.as_dict().items()
+                if value < 0} == {}
+        assert delta.failovers == 1
+        assert delta.commit_forces >= 1
+
 
 # -- dedup across failover (regression) ---------------------------------------
 
@@ -483,16 +512,14 @@ class TestWiring:
             sorted(system.server.disk.page_ids())
 
     def test_counters_reach_metrics_registry(self):
-        from repro.obs.registry import build_default_registry
-
         system = replicated_system()
         committed_update(system, "x")
-        collected = build_default_registry().collect(system)
+        collected = snapshot(system)
         rep = system.replication
-        assert collected["frames_shipped"] == rep.frames_shipped > 0
-        assert collected["ship_acks"] == rep.ship_acks > 0
+        assert collected.frames_shipped == rep.frames_shipped > 0
+        assert collected.ship_acks == rep.ship_acks > 0
         # A single-node complex reports every replication counter as 0.
         single = ClientServerSystem(SystemConfig(), client_ids=("C1",))
-        zeros = build_default_registry().collect(single)
-        assert zeros["frames_shipped"] == 0
-        assert zeros["failovers"] == 0
+        zeros = snapshot(single)
+        assert zeros.frames_shipped == 0
+        assert zeros.failovers == 0

@@ -2,8 +2,6 @@
 
 import pathlib
 
-import pytest
-
 from repro.harness.run_all import EXPERIMENTS, main
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
@@ -57,7 +55,7 @@ class TestDocumentationClaims:
         """Every src path mentioned in DESIGN.md's module map exists."""
         design = (REPO / "DESIGN.md").read_text()
         for token in ("repro.storage", "repro.locking", "repro.core",
-                      "repro.index", "repro.baselines", "repro.workloads",
+                      "repro.index", "repro.workloads",
                       "repro.harness", "repro.net", "repro.records",
                       "repro.tools"):
             module_path = REPO / "src" / token.replace(".", "/")

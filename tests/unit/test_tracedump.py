@@ -78,9 +78,10 @@ class TestRecoveryTimeline:
         """An E5-style run: the timeline shows all three passes with the
         failed client's name attached to scanned/redone/CLR counts."""
         system = ClientServerSystem(
-            SystemConfig(trace_enabled=True, client_checkpoint_interval=4),
+            SystemConfig(client_checkpoint_interval=4),
             client_ids=["C1", "C2"],
         )
+        system.attach_tracer(Tracer())
         system.bootstrap(data_pages=4, free_pages=4)
         rids = seed_table(system, "C1", "t", 4, 2)
         client = system.client("C1")
