@@ -19,6 +19,16 @@ two common scalar shapes, ints and byte strings, are read in the
 tuple's own loop; only other tags cost a nested call.
 :func:`skip_value_at` is its non-materializing twin, for walks that
 want a later field and not the ones before it.
+
+Encoding has the generic writer, :func:`encode`, and straight-line
+writers for the two shapes the system writes most: log frames
+(``log_records._encode_frame``) and page images (``Page.to_bytes``).
+Those pack their fixed fields with precompiled structs and write any
+field of another shape with :func:`encode`.  The encoding is
+concatenative (a tuple's bytes are its head followed by its items'
+bytes), so the pieces they join are exactly this writer's output.
+Their byte identity with it is property-tested in
+``tests/property/test_writer_reference.py``.
 """
 
 from __future__ import annotations

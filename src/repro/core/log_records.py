@@ -44,7 +44,7 @@ import enum
 import struct
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.core import codec
 from repro.core.lsn import LSN, LogAddr, NULL_ADDR, NULL_LSN
@@ -267,7 +267,25 @@ def encode_record(record: LogRecord) -> bytes:
 
 
 def _encode_frame(record: LogRecord) -> bytes:
-    """The encoder proper, run at most once per record object."""
+    """The encoder proper, run at most once per record object.
+
+    UPD, CLR, CMT and END frames are written by one straight-line
+    writer each (see "Writing" below); a frame they decline goes through
+    :func:`codec.encode` of its fields.
+    """
+    write = _WRITERS.get(record.__class__)
+    if write is not None:
+        try:
+            frame = write(record)
+        except struct.error:  # an int outside i64
+            frame = None
+        if frame is not None:
+            return frame
+    return codec.encode(_frame_fields(record))
+
+
+def _frame_fields(record: LogRecord) -> Tuple:
+    """The frame as the tuple the codec encodes: prefix plus body."""
     header = (
         _TAG_BY_TYPE[type(record)],
         record.lsn,
@@ -310,7 +328,7 @@ def _encode_frame(record: LogRecord) -> bytes:
         )
     elif isinstance(record, CDPLRecord):
         body = (tuple(_encode_dpl_entry(e) for e in record.entries),)
-    return codec.encode(header + body)
+    return header + body
 
 
 # ---------------------------------------------------------------------------
@@ -740,3 +758,148 @@ def _decode_txn_entry(raw: Tuple) -> TxnTableEntry:
         txn_id=raw[0], client_id=raw[1], state=raw[2],
         last_lsn=raw[3], undo_next_lsn=raw[4], first_lsn=raw[5],
     )
+
+
+# ---------------------------------------------------------------------------
+# Writing: one straight-line writer per commit-path kind
+# ---------------------------------------------------------------------------
+#
+# The mirror of the walk above.  The commit path writes UPD, CLR, CMT and
+# END frames, and each has a writer: precompiled structs pack the tuple
+# head, the type tag and the int fields; the id pair, op and outcome are
+# looked up encoded; a byte image gets its head packed inline.  Each
+# piece is the codec's bytes for its field (a field of an unusual type
+# is written by ``codec.encode`` alone), so the frame is the codec's
+# encoding of ``_frame_fields``.  An int field must be an int exactly,
+# since a bool encodes as ``t``/``f``; if one is not, or lies outside
+# i64, the writer declines and ``_encode_frame`` encodes the fields.
+# Checkpoint tables, prepare lock lists and CDPL frames always take
+# that generic path.
+
+_pack_tag_lsn = struct.Struct(">13sBq").pack
+_pack_int = struct.Struct(">Bq").pack
+_pack_two_ints = struct.Struct(">BqBq").pack
+_pack_three_ints = struct.Struct(">BqBqBq").pack
+_pack_len = struct.Struct(">BI").pack
+
+#: Per kind: the frame's tuple head and type-tag string, 13 bytes.
+_OPENING: Dict[Type[LogRecord], bytes] = {
+    cls: codec.encode((tag,) * _FIELD_COUNTS[tag])[:13]
+    for tag, cls in _TYPE_TAGS.items()
+}
+_OP_FIELD: Dict[UpdateOp, bytes] = {op: codec.encode(op.value)
+                                    for op in UpdateOp}
+_OUTCOME_FIELD: Dict[TxnOutcome, bytes] = {
+    outcome: codec.encode(outcome.value) for outcome in TxnOutcome}
+_NONE_FIELD = codec.encode(None)
+_TRUE_FIELD = codec.encode(True)
+_FALSE_FIELD = codec.encode(False)
+
+# Encoded (client_id, txn_id) pairs, the writer's twin of ``_IDS``.
+# Only str ids are filed: a bool key would find an int's entry.
+_ID_FIELDS: Dict[Tuple[str, Optional[str]], bytes] = {}
+
+
+def _ids(client_id: object, txn_id: object) -> bytes:
+    """The encoded id pair."""
+    if type(client_id) is str and (txn_id is None or type(txn_id) is str):
+        key = (client_id, txn_id)
+        raw = _ID_FIELDS.get(key)  # type: ignore[arg-type]
+        if raw is None:
+            head = client_id.encode("utf-8")
+            raw = _pack_len(_STR, len(head)) + head
+            if txn_id is None:
+                raw += _NONE_FIELD
+            else:
+                tail = txn_id.encode("utf-8")
+                raw += _pack_len(_STR, len(tail)) + tail
+            if len(_ID_FIELDS) >= _IDS_LIMIT:
+                _ID_FIELDS.clear()
+            _ID_FIELDS[key] = raw  # type: ignore[index]
+        return raw
+    return codec.encode((client_id, txn_id))[5:]
+
+
+def _field(value: object) -> bytes:
+    """An optional byte image or key; any other value as the codec has it."""
+    if value is None:
+        return _NONE_FIELD
+    if type(value) is bytes:
+        return _pack_len(_BYTES, len(value)) + value
+    return codec.encode(value)
+
+
+def _op(op: object) -> bytes:
+    return _OP_FIELD.get(op) or codec.encode(op.value)  # type: ignore
+
+
+def _write_update(record: UpdateRecord) -> Optional[bytes]:
+    lsn, prev_lsn = record.lsn, record.prev_lsn
+    page_id, slot, redo_only = record.page_id, record.slot, record.redo_only
+    if (type(lsn) is not int or type(prev_lsn) is not int
+            or type(page_id) is not int or type(slot) is not int):
+        return None
+    return b"".join((
+        _pack_tag_lsn(_OPENING[UpdateRecord], _INT, lsn),
+        _ids(record.client_id, record.txn_id),
+        _pack_two_ints(_INT, prev_lsn, _INT, page_id),
+        _op(record.op),
+        _pack_int(_INT, slot),
+        _field(record.before),
+        _field(record.after),
+        _TRUE_FIELD if redo_only is True else
+        _FALSE_FIELD if redo_only is False else codec.encode(redo_only),
+        _field(record.key),
+        _field(record.page_kind),
+    ))
+
+
+def _write_clr(record: CompensationRecord) -> Optional[bytes]:
+    lsn, prev_lsn = record.lsn, record.prev_lsn
+    undo_next_lsn, page_id, slot = (record.undo_next_lsn, record.page_id,
+                                    record.slot)
+    if (type(lsn) is not int or type(prev_lsn) is not int
+            or type(undo_next_lsn) is not int or type(page_id) is not int
+            or type(slot) is not int):
+        return None
+    op = record.op
+    return b"".join((
+        _pack_tag_lsn(_OPENING[CompensationRecord], _INT, lsn),
+        _ids(record.client_id, record.txn_id),
+        _pack_three_ints(_INT, prev_lsn, _INT, undo_next_lsn, _INT, page_id),
+        _NONE_FIELD if op is None else _op(op),
+        _pack_int(_INT, slot),
+        _field(record.after),
+        _field(record.key),
+    ))
+
+
+def _write_commit(record: CommitRecord) -> Optional[bytes]:
+    lsn, prev_lsn = record.lsn, record.prev_lsn
+    if type(lsn) is not int or type(prev_lsn) is not int:
+        return None
+    return b"".join((
+        _pack_tag_lsn(_OPENING[CommitRecord], _INT, lsn),
+        _ids(record.client_id, record.txn_id),
+        _pack_int(_INT, prev_lsn),
+    ))
+
+
+def _write_end(record: EndRecord) -> Optional[bytes]:
+    lsn, prev_lsn, outcome = record.lsn, record.prev_lsn, record.outcome
+    if type(lsn) is not int or type(prev_lsn) is not int:
+        return None
+    return b"".join((
+        _pack_tag_lsn(_OPENING[EndRecord], _INT, lsn),
+        _ids(record.client_id, record.txn_id),
+        _pack_int(_INT, prev_lsn),
+        _OUTCOME_FIELD.get(outcome) or codec.encode(outcome.value),
+    ))
+
+
+_WRITERS: Dict[Type[LogRecord], Callable[[Any], Optional[bytes]]] = {
+    UpdateRecord: _write_update,
+    CompensationRecord: _write_clr,
+    CommitRecord: _write_commit,
+    EndRecord: _write_end,
+}

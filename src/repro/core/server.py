@@ -70,6 +70,19 @@ from repro.storage.page import Page, PageKind
 from repro.storage.space_map import SpaceMapLayout
 
 
+def io_counters(log: ServerLogManager, disk: Disk) -> Dict[str, int]:
+    """The I/O counters of a log and a disk, by ``MetricsSnapshot`` field."""
+    return {
+        "disk_reads": disk.reads,
+        "disk_writes": disk.writes,
+        "log_appends": log.stable.appends,
+        "log_forces": log.stable.forces,
+        "log_bytes": log.stable.bytes_appended,
+        "forces_saved": log.group.forces_saved,
+        "group_forces": log.group.group_forces,
+    }
+
+
 @dataclass
 class RecoveryReport:
     """What one recovery run did — the benchmarks' raw material."""
@@ -193,6 +206,9 @@ class Server:
         self._appends_since_ckpt = 0
 
         self.crashed = False
+        #: The adopted replicas' I/O counters at promotion, by
+        #: ``MetricsSnapshot`` field: standby work a snapshot leaves out.
+        self.adopted_io: Dict[str, int] = {}
         #: Attached by the replication manager (repro.replication);
         #: ``None`` keeps every ship hook a single pointer comparison.
         self.replication: Optional[Any] = None
@@ -1076,7 +1092,8 @@ class Server:
 
     def adopt_replica_state(self, log: ServerLogManager, disk: Disk,
                             tracker: GlobalTransactionTracker,
-                            master: Dict[str, Any]) -> None:
+                            master: Dict[str, Any],
+                            replica_io: Dict[str, int]) -> None:
         """Install a standby's replicas as this server's durable state.
 
         Failover promotion builds a fresh :class:`Server` around the
@@ -1086,7 +1103,14 @@ class Server:
         left marked crashed on purpose: :meth:`restart` is the only
         legal next step.  The replicas join this server's probe here:
         no plane reaches them while they are the standby's.
+
+        ``replica_io`` is :func:`io_counters` of the replicas as
+        promotion began.  The counters come along with the replicas, so
+        it is kept as :attr:`adopted_io` for ``harness.metrics.snapshot``
+        to subtract: the standby's shipping and apply work is not the
+        server's.
         """
+        self.adopted_io = replica_io
         log.probe = log.stable.probe = log.group.probe = self.probe
         disk.probe = self.probe
         self.log = log

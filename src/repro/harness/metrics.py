@@ -13,9 +13,11 @@ fails with ``TypeError`` the first time a snapshot is taken.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict
 
+from repro.core.server import io_counters
 from repro.core.system import ClientServerSystem
 from repro.net.messages import MsgType
 
@@ -137,6 +139,9 @@ def snapshot(system: ClientServerSystem) -> MetricsSnapshot:
     complex: the promoted server's counters do not hold the old
     primary's work, so after a failover the fenced old primary's totals
     are added back and a delta across the promotion never goes negative.
+    The promoted server's log and disk are the standby's replicas, with
+    the counts of the standby's shipping and apply work; those counts,
+    taken as promotion began (``Server.adopted_io``), are subtracted.
     """
     servers = [system.server]
     replication = system.replication
@@ -146,6 +151,10 @@ def snapshot(system: ClientServerSystem) -> MetricsSnapshot:
     net = system.network.stats
     plan = system.probe.faults
     hub = system.probe.metrics
+    io: Counter[str] = Counter()
+    for server in servers:
+        io.update(io_counters(server.log, server.disk))
+        io.subtract(server.adopted_io)
 
     def on_servers(read: Callable[[Any], int]) -> int:
         return sum(read(server) for server in servers)
@@ -169,13 +178,13 @@ def snapshot(system: ClientServerSystem) -> MetricsSnapshot:
         p_lock_requests=net.count(MsgType.P_LOCK_REQUEST),
         callbacks=net.count(MsgType.CALLBACK),
         lsn_requests=net.count(MsgType.LSN_REQUEST),
-        disk_reads=on_servers(lambda s: s.disk.reads),
-        disk_writes=on_servers(lambda s: s.disk.writes),
-        log_appends=on_servers(lambda s: s.log.stable.appends),
-        log_forces=on_servers(lambda s: s.log.stable.forces),
-        log_bytes=on_servers(lambda s: s.log.stable.bytes_appended),
-        forces_saved=on_servers(lambda s: s.log.group.forces_saved),
-        group_forces=on_servers(lambda s: s.log.group.group_forces),
+        disk_reads=io["disk_reads"],
+        disk_writes=io["disk_writes"],
+        log_appends=io["log_appends"],
+        log_forces=io["log_forces"],
+        log_bytes=io["log_bytes"],
+        forces_saved=io["forces_saved"],
+        group_forces=io["group_forces"],
         wal_forces=on_servers(lambda s: s.wal_forces),
         commit_forces=on_servers(lambda s: s.commit_forces),
         archive_reads=on_servers(lambda s: s.archive.archive_reads),

@@ -37,7 +37,7 @@ import random
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.lsn import LogAddr
-from repro.core.server import RecoveryReport, Server
+from repro.core.server import RecoveryReport, Server, io_counters
 from repro.errors import NodeUnavailableError, ReplicationError
 from repro.net.messages import MsgType
 from repro.net.rpc import Envelope, MessageDroppedError, StaleEpochError
@@ -314,6 +314,7 @@ class ReplicationManager:
                     epoch=self.network.cluster_epoch)
         if probe.faults is not None:
             probe.faults.crashpoint("replication.promote.before_checkpoint")
+        replica_io = io_counters(self.standby.log, self.standby.disk)
         self.standby.promotion_checkpoint()
         boundary = self.standby.ship_high_water
         if probe.faults is not None:
@@ -322,7 +323,7 @@ class ReplicationManager:
                             node_id=self.standby.node_id, probe=probe)
         new_server.adopt_replica_state(
             self.standby.log, self.standby.disk, self.standby.tracker,
-            self.standby.master,
+            self.standby.master, replica_io,
         )
         new_server.tracker.table_resolver = old.tracker.table_resolver
         new_server.dispatcher.slots.update(self.standby.shipped_dedup())

@@ -1,10 +1,12 @@
 """The server's stable database disk.
 
-The disk stores serialized page images (bytes, as produced by
-``Page.to_bytes``).  Page writes are atomic — the simulation's crash
-model is "everything volatile disappears, the disk keeps exactly the
-images last written" — which is the standard assumption ARIES makes
-about the storage layer.
+The disk stores serialized page images: ``write_page`` encodes each
+write once with ``Page.to_bytes``, the page's straight-line writer, and
+``read_page`` decodes with ``Page.from_bytes``, one walk over the
+image.  The disk adds no framing of its own.  Page writes are atomic —
+the simulation's crash model is "everything volatile disappears, the
+disk keeps exactly the images last written" — which is the standard
+assumption ARIES makes about the storage layer.
 
 Media failures (section 2.5.3) are injected per page: a failed page
 raises :class:`MediaFailureError` on read until media recovery rewrites

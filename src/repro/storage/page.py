@@ -17,10 +17,12 @@ detectable exactly the way a real system detects it.
 from __future__ import annotations
 
 import enum
+import struct
 import zlib
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro.core import codec
+from repro.core.codec import read_value
 from repro.core.lsn import LSN, NULL_LSN
 from repro.errors import (
     PageCorruptedError,
@@ -47,6 +49,48 @@ class PageKind(enum.Enum):
     SPACE_MAP = "space-map"
     INDEX_LEAF = "index-leaf"
     INDEX_INTERNAL = "index-internal"
+
+
+# ---------------------------------------------------------------------------
+# The image format's fixed shapes
+# ---------------------------------------------------------------------------
+
+_TUPLE = codec.ORD_TUPLE
+_INT = codec.ORD_INT
+_STR = codec.ORD_STR
+_BYTES = codec.ORD_BYTES
+
+#: Per kind: the struct that packs the header (the 7-tuple head,
+#: page_id, the kind string, page_lsn, page_size, next_slot and the
+#: records tuple head) and the kind string's encoding.
+_HEAD_BY_KIND = {
+    kind: (struct.Struct(f">BIBq{5 + len(kind.value)}sBqBqBqBI").pack,
+           codec.encode(kind.value))
+    for kind in PageKind
+}
+_KIND_BY_BYTES = {kind.value.encode("utf-8"): kind for kind in PageKind}
+_KIND_BY_VALUE: Dict[Any, PageKind] = {kind.value: kind for kind in PageKind}
+#: A tuple head, a tagged i64 and a tagged length: both one
+#: ``(slot, bytes)`` record item up to its data and the image's opening
+#: up to the kind string.
+_OPENING = struct.Struct(">BIBqBI")
+_OPENING_SIZE = _OPENING.size
+_pack_opening = _OPENING.pack
+_unpack_opening = _OPENING.unpack_from
+_EMPTY_TUPLE = codec.encode(())
+_U32 = struct.Struct(">I")
+_pack_u32 = _U32.pack
+_unpack_u32 = _U32.unpack_from
+#: page_lsn, page_size, next_slot and the records tuple's item count.
+_unpack_ints = struct.Struct(">xqxqxqxI").unpack_from
+
+
+def _pairs(value: Any) -> Dict[Any, Any]:
+    """A decoded records or meta field as its dict."""
+    try:
+        return {key: item for key, item in value}
+    except (TypeError, ValueError) as exc:
+        raise codec.CodecError(f"malformed page image field: {exc}") from exc
 
 
 class Page:
@@ -233,35 +277,133 @@ class Page:
         )
 
     def to_bytes(self) -> bytes:
-        """Serialize with a trailing CRC32 over the payload."""
+        """Serialize with a trailing CRC32 over the payload.
+
+        The payload is the codec encoding of ``(page_id, kind, page_lsn,
+        page_size, next_slot, ((slot, data), ...), ((key, value), ...))``
+        with records by slot and meta by key, written in one pass:
+        precompiled structs pack the header and each ``(slot, bytes)``
+        item.  Any other shape (a header field that is not an i64 int,
+        a record that is not ``bytes``, a slot outside i64, non-empty
+        meta) is written by :func:`codec.encode`, so the bytes are the
+        codec's whatever the content.
+        """
         self._check()
-        payload = codec.encode((
-            self.page_id,
-            self.kind.value,
-            self.page_lsn,
-            self.page_size,
-            self._next_slot,
-            tuple((slot, data) for slot, data in sorted(self._records.items())),
-            tuple((k, self._meta[k]) for k in sorted(self._meta)),
-        ))
-        crc = zlib.crc32(payload) & 0xFFFFFFFF
-        return payload + crc.to_bytes(4, "big")
+        records = self._records
+        page_id, page_lsn = self.page_id, self.page_lsn
+        page_size, next_slot = self.page_size, self._next_slot
+        head = None
+        if (type(page_id) is int and type(page_lsn) is int
+                and type(page_size) is int and type(next_slot) is int):
+            pack, kind_field = _HEAD_BY_KIND[self.kind]
+            try:
+                head = pack(_TUPLE, 7, _INT, page_id, kind_field,
+                            _INT, page_lsn, _INT, page_size,
+                            _INT, next_slot, _TUPLE, len(records))
+            except struct.error:
+                pass
+        if head is None:
+            payload = codec.encode((
+                page_id, self.kind.value, page_lsn, page_size, next_slot,
+                tuple(sorted(records.items())), self._meta_items()))
+        else:
+            parts = [head]
+            append = parts.append
+            for slot, data in sorted(records.items()):
+                if type(slot) is int and type(data) is bytes:
+                    try:
+                        append(_pack_opening(_TUPLE, 2, _INT, slot,
+                                             _BYTES, len(data)))
+                    except struct.error:  # a slot outside i64
+                        pass
+                    else:
+                        append(data)
+                        continue
+                append(codec.encode((slot, data)))
+            append(codec.encode(self._meta_items()) if self._meta
+                   else _EMPTY_TUPLE)
+            payload = b"".join(parts)
+        return payload + _pack_u32(zlib.crc32(payload))
+
+    def _meta_items(self) -> Tuple[Tuple[str, MetaValue], ...]:
+        meta = self._meta
+        return tuple((key, meta[key]) for key in sorted(meta))
 
     @staticmethod
     def from_bytes(data: bytes) -> "Page":
-        """Deserialize; raises :class:`PageCorruptedError` on a bad CRC."""
-        if len(data) < 4:
+        """Deserialize; raises :class:`PageCorruptedError` on a bad CRC.
+
+        One walk over the payload, the mirror of :meth:`to_bytes`: the
+        header and each ``(slot, bytes)`` item are read inline, and a
+        field of any other shape through :func:`codec.read_value` at
+        the same offset.  A payload that passes its CRC but is not a
+        page image raises :class:`codec.CodecError`.
+        """
+        data = bytes(data)
+        end = len(data) - 4
+        if end < 0:
             raise PageCorruptedError(-1, "truncated image")
-        payload, crc_bytes = data[:-4], data[-4:]
-        if (zlib.crc32(payload) & 0xFFFFFFFF) != int.from_bytes(crc_bytes, "big"):
+        if zlib.crc32(memoryview(data)[:end]) != _unpack_u32(data, end)[0]:
             raise PageCorruptedError(-1, "crc mismatch")
-        fields = codec.decode(payload)
-        page_id, kind, page_lsn, page_size, next_slot, records, meta = fields
-        page = Page(page_id, PageKind(kind), page_size)
+        if end < _OPENING_SIZE:
+            raise codec.CodecError("page image shorter than its header")
+        top, count, tag, page_id, kind_tag, kind_len = _unpack_opening(data, 0)
+        if top != _TUPLE or count != 7:
+            raise codec.CodecError("page image is not a 7-field tuple")
+        if tag == _INT and kind_tag == _STR:
+            off = _OPENING_SIZE + kind_len
+            if off > end:
+                raise codec.CodecError("length prefix exceeds buffer")
+            kind = _KIND_BY_BYTES.get(data[_OPENING_SIZE:off])
+        else:
+            if tag == _INT:
+                off = 14
+            else:
+                page_id, off = read_value(data, 5, end)
+            value, off = read_value(data, off, end)
+            kind = _KIND_BY_VALUE.get(value)
+        if kind is None:
+            raise codec.CodecError("unknown page kind")
+        if (off + 32 <= end and data[off] == _INT and data[off + 9] == _INT
+                and data[off + 18] == _INT and data[off + 27] == _TUPLE):
+            page_lsn, page_size, next_slot, count = _unpack_ints(data, off)
+            off += 32
+            records: Dict[int, bytes] = {}
+            for _ in range(count):
+                nxt = off + _OPENING_SIZE
+                if nxt <= end:
+                    top, pair, tag, slot, data_tag, size = _unpack_opening(
+                        data, off)
+                    if (top == _TUPLE and pair == 2 and tag == _INT
+                            and data_tag == _BYTES):
+                        off = nxt + size
+                        if off > end:
+                            raise codec.CodecError(
+                                "length prefix exceeds buffer")
+                        records[slot] = data[nxt:off]
+                        continue
+                item, off = read_value(data, off, end)
+                records.update(_pairs((item,)))
+        else:
+            page_lsn, off = read_value(data, off, end)
+            page_size, off = read_value(data, off, end)
+            next_slot, off = read_value(data, off, end)
+            value, off = read_value(data, off, end)
+            records = _pairs(value)
+        if off + 5 <= end and data.startswith(_EMPTY_TUPLE, off):
+            meta: Dict[str, MetaValue] = {}
+            off += 5
+        else:
+            value, off = read_value(data, off, end)
+            meta = _pairs(value)
+        if off != end:
+            raise codec.CodecError(
+                f"trailing bytes after page image ({end - off} left)")
+        page = Page(page_id, kind, page_size)
         page.page_lsn = page_lsn
         page._next_slot = next_slot
-        page._records = {slot: record for slot, record in records}
-        page._meta = {key: value for key, value in meta}
+        page._records = records
+        page._meta = meta
         return page
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -2,12 +2,26 @@
 
 from __future__ import annotations
 
+import zlib
+
 import pytest
 
 from repro.config import SystemConfig
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Set, Tuple
 
-from repro.core.log_records import FrameHeader
+from repro.core import codec
+from repro.core.log_records import (
+    BeginCheckpointRecord,
+    CDPLRecord,
+    CommitRecord,
+    CompensationRecord,
+    EndCheckpointRecord,
+    EndRecord,
+    FrameHeader,
+    LogRecord,
+    PrepareRecord,
+    UpdateRecord,
+)
 from repro.core.recovery import (
     AnalysisResult,
     ClrWriter,
@@ -26,6 +40,7 @@ from repro.core.server_log import ServerLogManager
 from repro.faults import FaultPlan
 from repro.core.system import ClientServerSystem
 from repro.errors import RecordNotFoundError
+from repro.storage.page import Page
 from repro.workloads.generator import seed_table
 
 
@@ -71,6 +86,61 @@ def plain_headers(items) -> list:
     return [(addr, tuple(getattr(header, name)
                          for name in FrameHeader.__slots__))
             for addr, header in items]
+
+
+# ---------------------------------------------------------------------------
+# The byte-format oracle: the generic encoders the writers replaced
+# ---------------------------------------------------------------------------
+
+_TYPE_TAG = {
+    UpdateRecord: "UPD", CompensationRecord: "CLR", CommitRecord: "CMT",
+    PrepareRecord: "PRE", EndRecord: "END", BeginCheckpointRecord: "BCP",
+    EndCheckpointRecord: "ECP", CDPLRecord: "CDP",
+}
+
+
+def reference_frame(record: LogRecord) -> bytes:
+    """A log frame as ``codec.encode`` writes the record's field tuple."""
+    header = (_TYPE_TAG[type(record)], record.lsn,
+              record.client_id, record.txn_id, record.prev_lsn)
+    body: Tuple = ()
+    if isinstance(record, UpdateRecord):
+        body = (record.page_id, record.op.value, record.slot, record.before,
+                record.after, record.redo_only, record.key, record.page_kind)
+    elif isinstance(record, CompensationRecord):
+        body = (record.undo_next_lsn, record.page_id,
+                record.op.value if record.op is not None else None,
+                record.slot, record.after, record.key)
+    elif isinstance(record, PrepareRecord):
+        body = (record.locks,)
+    elif isinstance(record, EndRecord):
+        body = (record.outcome.value,)
+    elif isinstance(record, BeginCheckpointRecord):
+        body = (record.owner,)
+    elif isinstance(record, EndCheckpointRecord):
+        body = (record.owner,
+                tuple((e.page_id, e.rec_lsn, e.rec_addr)
+                      for e in record.dirty_pages),
+                tuple((t.txn_id, t.client_id, t.state, t.last_lsn,
+                       t.undo_next_lsn, t.first_lsn)
+                      for t in record.transactions))
+    elif isinstance(record, CDPLRecord):
+        body = (tuple((e.page_id, e.rec_lsn, e.rec_addr)
+                      for e in record.entries),)
+    return codec.encode(header + body)
+
+
+def reference_page_image(page: Page) -> bytes:
+    """A page image as ``codec.encode`` writes the page's field tuple,
+    with its CRC32 trailer."""
+    page._check()
+    payload = codec.encode((
+        page.page_id, page.kind.value, page.page_lsn, page.page_size,
+        page._next_slot,
+        tuple((slot, data) for slot, data in sorted(page._records.items())),
+        tuple((key, page._meta[key]) for key in sorted(page._meta)),
+    ))
+    return payload + (zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "big")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ apply.  It is encoded once, on its way to the wire, and every later
 hop reuses those bytes: the primary's and the standby's appends, the
 ship sizing, the ship's read of the unshipped tail and the standby's
 apply read all handle the record object, and no frame is decoded.  The
-standby decodes a replica page from its disk only on first touch.
+standby decodes a replica page from its disk only on first touch, and
+an apply round encodes each page image it writes exactly once.
 
 The load mirrors the ``replicated_commit`` benchmark workload: four
 clients, each updating its own partition of a 64-page table, replication
@@ -17,6 +18,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.core import log_records
 from repro.core.system import ClientServerSystem
+from repro.storage.page import Page
 from repro.workloads.generator import (
     debit_credit_programs,
     run_program_sequential,
@@ -94,3 +96,35 @@ def test_commit_path_encodes_once_and_decodes_nothing(encoder_runs):
     touched = set(standby._pages) - applied_pages
     assert standby.disk.reads - disk_reads <= len(touched)
     assert replica.end_of_log_addr == primary.flushed_addr
+
+
+def test_apply_round_encodes_each_written_page_once(monkeypatch):
+    system, schedule = replicated_load()
+    drive(system, schedule[:40])
+    standby = system.replication.standby
+    encodes = []
+    real_to_bytes = Page.to_bytes
+
+    def counting_to_bytes(page):
+        encodes.append(page.page_id)
+        return real_to_bytes(page)
+
+    monkeypatch.setattr(Page, "to_bytes", counting_to_bytes)
+    rounds = []
+    real_apply = standby.apply_tail
+
+    def counting_apply():
+        encoded, written = len(encodes), standby.disk.writes
+        applied = real_apply()
+        rounds.append((len(encodes) - encoded,
+                       standby.disk.writes - written))
+        return applied
+
+    monkeypatch.setattr(standby, "apply_tail", counting_apply)
+
+    drive(system, schedule[40:])
+
+    assert len(rounds) > 10
+    assert sum(written for _, written in rounds) > len(rounds)
+    assert [encoded for encoded, _ in rounds] == [
+        written for _, written in rounds]

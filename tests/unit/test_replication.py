@@ -412,6 +412,37 @@ class TestFailover:
         assert delta.failovers == 1
         assert delta.commit_forces >= 1
 
+    def test_snapshot_delta_across_failover_leaves_out_standby_io(self):
+        """Regression: the promoted server adopts the standby's replica
+        log and disk together with their counters, so a delta across
+        the promotion counted the standby's replica appends and forces
+        and its apply rounds' disk reads and writes."""
+        system = replicated_system(apply_interval=4)
+        rid = committed_update(system, "v0")
+        for index in range(1, 16):
+            committed_update(system, f"v{index}", rid=rid)
+        standby = system.replication.standby
+        replica, disk = standby.log.stable, standby.disk
+        assert disk.writes > 0 and replica.appends > 0
+        before = snapshot(system)
+        replica_before = (replica.appends, replica.forces,
+                          replica.bytes_appended, disk.writes, disk.reads)
+        system.crash_server()
+        system.replication.run_failover()
+        delta = snapshot(system).minus(before)
+        assert system.server.log.stable is replica
+        # The promotion's own I/O on the adopted log and disk: its
+        # checkpoint (Begin and End, one force); the restart over an
+        # applied tail writes nothing.
+        own = (replica.appends, replica.forces, replica.bytes_appended,
+               disk.writes, disk.reads)
+        assert (delta.log_appends, delta.log_forces, delta.log_bytes,
+                delta.disk_writes, delta.disk_reads) == tuple(
+                    after - before_
+                    for after, before_ in zip(own, replica_before))
+        assert (delta.log_appends, delta.log_forces, delta.disk_writes,
+                delta.disk_reads) == (2, 1, 0, 0)
+
 
 # -- dedup across failover (regression) ---------------------------------------
 
