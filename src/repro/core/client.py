@@ -47,6 +47,8 @@ from repro.core.log_records import (
     BeginCheckpointRecord,
     CommitRecord,
     CompensationRecord,
+    DirtyPageEntry,
+    EndCheckpointRecord,
     EndRecord,
     LogRecord,
     PrepareRecord,
@@ -877,11 +879,8 @@ class Client:
             lsn=self._assign_lsn(NULL_LSN), client_id=self.client_id,
             txn_id=None, prev_lsn=NULL_LSN, owner=self.client_id,
         )
-        from repro.core.log_records import DirtyPageEntry, EndCheckpointRecord
-        entries = tuple(
-            DirtyPageEntry(page_id=bcb.page_id, rec_lsn=bcb.rec_lsn)
-            for bcb in self.pool.dirty_bcbs()
-        )
+        entries = tuple([DirtyPageEntry(bcb.page_id, bcb.rec_lsn)
+                         for bcb in self.pool.dirty_bcbs()])
         end = EndCheckpointRecord(
             lsn=self._assign_lsn(NULL_LSN), client_id=self.client_id,
             txn_id=None, prev_lsn=begin.lsn, owner=self.client_id,

@@ -1,4 +1,4 @@
-"""Codec work on the replicated commit path.
+"""Codec work on the replicated commit path and at checkpoints.
 
 A log record travels client -> primary log -> ship -> standby log ->
 apply.  It is encoded once, on its way to the wire, and every later
@@ -8,19 +8,26 @@ apply read all handle the record object, and no frame is decoded.  The
 standby decodes a replica page from its disk only on first touch, and
 an apply round encodes each page image it writes exactly once.
 
-The load mirrors the ``replicated_commit`` benchmark workload: four
-clients, each updating its own partition of a 64-page table, replication
-with synchronous commit, no checkpoints.
+The replicated load mirrors the ``replicated_commit`` benchmark
+workload: four clients, each updating its own partition of a 64-page
+table, replication with synchronous commit, no checkpoints.  The
+checkpointed load mirrors ``cad_sessions``: four clients on private
+working sets under the default configuration, so clients checkpoint
+every 16 commits and the server every 512 appends.
 """
 
 import pytest
 
 from repro.config import SystemConfig
 from repro.core import log_records
+from repro.core.client import Client
+from repro.core.server import Server
 from repro.core.system import ClientServerSystem
 from repro.storage.page import Page
 from repro.workloads.generator import (
+    WorkloadSpec,
     debit_credit_programs,
+    generate_programs,
     run_program_sequential,
     seed_table,
 )
@@ -128,3 +135,68 @@ def test_apply_round_encodes_each_written_page_once(monkeypatch):
     assert sum(written for _, written in rounds) > len(rounds)
     assert [encoded for encoded, _ in rounds] == [
         written for _, written in rounds]
+
+
+def checkpointed_load():
+    """A seeded complex under the default configuration, and a
+    round-robin schedule over private working sets."""
+    config = SystemConfig(seed=3)
+    assert config.client_checkpoint_interval == 16
+    assert config.server_checkpoint_interval > 0
+    ids = [f"C{i}" for i in range(CLIENTS)]
+    system = ClientServerSystem(config, client_ids=ids)
+    system.bootstrap(data_pages=PAGES, free_pages=16)
+    rids = seed_table(system, ids[0], "cad", PAGES, 8)
+    size = len(rids) // CLIENTS
+    programs = [generate_programs(WorkloadSpec(
+        num_txns=TXNS_PER_CLIENT * 2, ops_per_txn=16, read_fraction=0.75,
+        abort_fraction=0.05, seed=i, value_prefix=f"c{i}"),
+        rids[i * size:(i + 1) * size]) for i in range(CLIENTS)]
+    schedule = [(ids[i], programs[i][turn])
+                for turn in range(TXNS_PER_CLIENT * 2)
+                for i in range(CLIENTS)]
+    return system, schedule
+
+
+def test_checkpoints_take_their_writers(encoder_runs, monkeypatch):
+    """Every frame of a checkpointed load has a writer: none reaches
+    the generic encoding of its fields.  A client's End_Checkpoint is
+    encoded twice, for its wire sizing and after the server rewrites
+    its RecLSNs; every other checkpoint record once."""
+    system, schedule = checkpointed_load()
+    for client_id, program in schedule[:40]:
+        run_program_sequential(system, client_id, program)
+    generic = []
+    real_fields = log_records._frame_fields
+
+    def counting_fields(record):
+        generic.append(record)
+        return real_fields(record)
+
+    monkeypatch.setattr(log_records, "_frame_fields", counting_fields)
+    checkpoints = {"client": 0, "server": 0}
+
+    def counted(kind, method):
+        def wrapper(self):
+            checkpoints[kind] += 1
+            return method(self)
+        return wrapper
+
+    monkeypatch.setattr(Client, "take_checkpoint",
+                        counted("client", Client.take_checkpoint))
+    monkeypatch.setattr(Server, "take_checkpoint",
+                        counted("server", Server.take_checkpoint))
+    encoder_runs.clear()
+
+    outcomes = [run_program_sequential(system, client_id, program)
+                for client_id, program in schedule[40:]]
+
+    assert outcomes.count("committed") > len(outcomes) * 0.9
+    assert checkpoints["client"] >= 20
+    assert checkpoints["server"] >= 1
+    assert generic == []
+    kinds = [type(record) for record in encoder_runs]
+    assert kinds.count(log_records.EndCheckpointRecord) == (
+        2 * checkpoints["client"] + checkpoints["server"])
+    assert kinds.count(log_records.BeginCheckpointRecord) == (
+        checkpoints["client"] + checkpoints["server"])
