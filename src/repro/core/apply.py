@@ -31,6 +31,23 @@ def redo_needed(page: Page, record_lsn: LSN) -> bool:
     return page.page_lsn < record_lsn
 
 
+def apply_redo_effect(page: Page, lsn: LSN, op: Optional[UpdateOp],
+                      slot: int, after: Optional[bytes],
+                      key: Optional[bytes], page_kind: Optional[str]) -> None:
+    """Make one redoable record's change to ``page`` and stamp its LSN.
+
+    Takes the record's effect as fields, so redo can apply a record
+    straight from its frame (``log_records.redo_effect``) without
+    building it.  A dummy CLR (``op is None``) has no page effect.
+    """
+    if op is None:
+        raise RecoveryInvariantError(
+            f"dummy CLR {lsn} has no page effect to apply"
+        )
+    _apply_op(page, op, slot, after, key, page_kind)
+    page.page_lsn = lsn
+
+
 def apply_redo(page: Page, record: UpdateRecord) -> None:
     """Apply an update record's forward effect to ``page``.
 
@@ -38,9 +55,8 @@ def apply_redo(page: Page, record: UpdateRecord) -> None:
     would corrupt the slotted structure (e.g. double insert).  Sets
     page_LSN to the record's LSN.
     """
-    _apply_op(page, record.op, record.slot, record.after, record.key,
-              record.page_kind)
-    page.page_lsn = record.lsn
+    apply_redo_effect(page, record.lsn, record.op, record.slot, record.after,
+                      record.key, record.page_kind)
 
 
 def apply_clr_redo(page: Page, clr: CompensationRecord) -> None:
@@ -48,12 +64,8 @@ def apply_clr_redo(page: Page, clr: CompensationRecord) -> None:
 
     CLRs are redo-only: this is the only way their change is ever made.
     """
-    if clr.op is None:
-        raise RecoveryInvariantError(
-            f"dummy CLR {clr.lsn} has no page effect to apply"
-        )
-    _apply_op(page, clr.op, clr.slot, clr.after, clr.key, None)
-    page.page_lsn = clr.lsn
+    apply_redo_effect(page, clr.lsn, clr.op, clr.slot, clr.after, clr.key,
+                      None)
 
 
 @dataclass(frozen=True)

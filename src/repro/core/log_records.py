@@ -352,15 +352,18 @@ class FrameHeader:
     ``page_id`` is ``-1`` for non-page records (matching the dummy-CLR
     convention); ``undo_next_lsn`` is ``NULL_LSN`` except for CLRs;
     ``redo_only`` is ``False`` except for redo-only updates.
+    ``body_at`` is where the body starts, counted from the frame's first
+    byte: :func:`redo_effect` walks the body from there, so a peeked
+    frame's prefix is never parsed twice.
     """
 
     __slots__ = (
         "type_tag", "lsn", "client_id", "txn_id",
-        "prev_lsn", "page_id", "undo_next_lsn", "redo_only",
+        "prev_lsn", "body_at", "page_id", "undo_next_lsn", "redo_only",
     )
 
     def __init__(self, type_tag: str, lsn: LSN, client_id: str,
-                 txn_id: Optional[str], prev_lsn: LSN,
+                 txn_id: Optional[str], prev_lsn: LSN, body_at: int,
                  page_id: int = -1, undo_next_lsn: LSN = NULL_LSN,
                  redo_only: bool = False) -> None:
         self.type_tag = type_tag
@@ -368,6 +371,7 @@ class FrameHeader:
         self.client_id = client_id
         self.txn_id = txn_id
         self.prev_lsn = prev_lsn
+        self.body_at = body_at
         self.page_id = page_id
         self.undo_next_lsn = undo_next_lsn
         self.redo_only = redo_only
@@ -561,6 +565,7 @@ def peek_header_in(buf: codec.Buffer, start: int, end: int) -> FrameHeader:
     """
     type_tag, lsn, client_id, txn_id, prev_lsn, off = _parse_prefix(
         buf, start, end)
+    body_at = off - start
     if type_tag == "UPD":
         # page_id and the length of the op string in one unpack, then
         # step over op, slot, before and after to reach redo_only.  A
@@ -595,7 +600,7 @@ def peek_header_in(buf: codec.Buffer, start: int, end: int) -> FrameHeader:
         else:
             redo_only, off = _read(buf, off, end)
         return FrameHeader(type_tag, lsn, client_id, txn_id, prev_lsn,
-                           page_id, NULL_LSN, redo_only)
+                           body_at, page_id, NULL_LSN, redo_only)
     if type_tag == "CLR":
         if off + 18 <= end and buf[off] == _INT and buf[off + 9] == _INT:
             undo_next_lsn, page_id = _unpack_two_ints(buf, off)
@@ -603,8 +608,8 @@ def peek_header_in(buf: codec.Buffer, start: int, end: int) -> FrameHeader:
             undo_next_lsn, off = _read(buf, off, end)
             page_id, off = _read(buf, off, end)
         return FrameHeader(type_tag, lsn, client_id, txn_id, prev_lsn,
-                           page_id, undo_next_lsn)
-    return FrameHeader(type_tag, lsn, client_id, txn_id, prev_lsn)
+                           body_at, page_id, undo_next_lsn)
+    return FrameHeader(type_tag, lsn, client_id, txn_id, prev_lsn, body_at)
 
 
 def decode_record(data: bytes) -> LogRecord:
@@ -620,55 +625,13 @@ def decode_record(data: bytes) -> LogRecord:
         data, 0, end)
     record: LogRecord
     if type_tag == "UPD":
-        if off + 9 <= end and data[off] == _INT:
-            page_id = _unpack_i64(data, off + 1)[0]
-            off += 9
-        else:
-            page_id, off = _read(data, off, end)
-        op, off = _op_field(data, off, end)
-        if off + 9 <= end and data[off] == _INT:
-            slot = _unpack_i64(data, off + 1)[0]
-            off += 9
-        else:
-            slot, off = _read(data, off, end)
-        before, off = _image_field(data, off, end)
-        after, off = _image_field(data, off, end)
-        tag = data[off] if off < end else None
-        if tag == _FALSE:
-            redo_only = False
-            off += 1
-        elif tag == _TRUE:
-            redo_only = True
-            off += 1
-        else:
-            redo_only, off = _read(data, off, end)
-        key, off = _image_field(data, off, end)
-        if off < end and data[off] == _NONE:
-            page_kind = None
-            off += 1
-        else:
-            page_kind, off = _read(data, off, end)
+        (page_id, op, slot, before, after, redo_only, key, page_kind,
+         off) = _update_body(data, off, end)
         record = UpdateRecord(lsn, client_id, txn_id, prev_lsn, page_id, op,
                               slot, before, after, redo_only, key, page_kind)
     elif type_tag == "CLR":
-        if off + 18 <= end and data[off] == _INT and data[off + 9] == _INT:
-            undo_next_lsn, page_id = _unpack_two_ints(data, off)
-            off += 18
-        else:
-            undo_next_lsn, off = _read(data, off, end)
-            page_id, off = _read(data, off, end)
-        if off < end and data[off] == _NONE:
-            op = None
-            off += 1
-        else:
-            op, off = _op_field(data, off, end)
-        if off + 9 <= end and data[off] == _INT:
-            slot = _unpack_i64(data, off + 1)[0]
-            off += 9
-        else:
-            slot, off = _read(data, off, end)
-        after, off = _image_field(data, off, end)
-        key, off = _image_field(data, off, end)
+        undo_next_lsn, page_id, op, slot, after, key, off = _clr_body(
+            data, off, end)
         record = CompensationRecord(lsn, client_id, txn_id, prev_lsn,
                                     undo_next_lsn, page_id, op, slot, after,
                                     key)
@@ -683,6 +646,107 @@ def decode_record(data: bytes) -> LogRecord:
         raise codec.CodecError(f"trailing bytes after record ({end - off} left)")
     record.__dict__["_frame"] = data
     return record
+
+
+#: What redoing one UPD or CLR does to its page: ``(op, slot, after,
+#: key, page_kind)``, the arguments of ``apply.apply_redo_effect``.
+RedoEffect = Tuple[Optional[UpdateOp], int, Optional[bytes], Optional[bytes],
+                   Optional[str]]
+
+#: The first bytes of a UPD or CLR frame: tuple head and type tag.
+_REDO_TAG_HEADS: Dict[str, bytes] = {
+    tag: _TAG_HEAD.pack(_TUPLE, _FIELD_COUNTS[tag], _STR, 3,
+                        tag.encode("ascii"))
+    for tag in ("UPD", "CLR")
+}
+
+
+def redo_effect(frame: bytes, header: FrameHeader) -> RedoEffect:
+    """The page effect of the UPD or CLR ``frame`` that ``header`` was
+    peeked from, with no record object built.
+
+    The walk starts at ``header.body_at``, where the peek's prefix parse
+    stopped, and is the body walk :func:`decode_record` runs, so it
+    reads what a full decode would and raises :class:`codec.CodecError`
+    where a full decode would.  A frame whose type tag, or whose usual
+    8-byte LSN, is not the header's is rejected the same way.
+    """
+    tag = header.type_tag
+    end = len(frame)
+    if frame[:_TAG_HEAD_SIZE] != _REDO_TAG_HEADS.get(tag):
+        raise codec.CodecError(f"frame is not the {tag} its header names")
+    if (end >= _LSN_END and frame[_TAG_HEAD_SIZE] == _INT
+            and _unpack_i64(frame, _TAG_HEAD_SIZE + 1)[0] != header.lsn):
+        raise codec.CodecError(f"frame is not the LSN {header.lsn} its "
+                               "header names")
+    if tag == "UPD":
+        _, op, slot, _, after, _, key, page_kind, off = _update_body(
+            frame, header.body_at, end)
+    else:
+        _, _, op, slot, after, key, off = _clr_body(frame, header.body_at, end)
+        page_kind = None
+    if off != end:
+        raise codec.CodecError(f"trailing bytes after record ({end - off} left)")
+    return op, slot, after, key, page_kind
+
+
+def _update_body(data: bytes, off: int, end: int) -> Tuple[Any, ...]:
+    """Walk the UPD body at ``off``: ``(page_id, op, slot, before, after,
+    redo_only, key, page_kind, offset past the body)``."""
+    if off + 9 <= end and data[off] == _INT:
+        page_id = _unpack_i64(data, off + 1)[0]
+        off += 9
+    else:
+        page_id, off = _read(data, off, end)
+    op, off = _op_field(data, off, end)
+    if off + 9 <= end and data[off] == _INT:
+        slot = _unpack_i64(data, off + 1)[0]
+        off += 9
+    else:
+        slot, off = _read(data, off, end)
+    before, off = _image_field(data, off, end)
+    after, off = _image_field(data, off, end)
+    tag = data[off] if off < end else None
+    if tag == _FALSE:
+        redo_only = False
+        off += 1
+    elif tag == _TRUE:
+        redo_only = True
+        off += 1
+    else:
+        redo_only, off = _read(data, off, end)
+    key, off = _image_field(data, off, end)
+    if off < end and data[off] == _NONE:
+        page_kind = None
+        off += 1
+    else:
+        page_kind, off = _read(data, off, end)
+    return page_id, op, slot, before, after, redo_only, key, page_kind, off
+
+
+def _clr_body(data: bytes, off: int, end: int) -> Tuple[Any, ...]:
+    """Walk the CLR body at ``off``: ``(undo_next_lsn, page_id, op, slot,
+    after, key, offset past the body)``."""
+    if off + 18 <= end and data[off] == _INT and data[off + 9] == _INT:
+        undo_next_lsn, page_id = _unpack_two_ints(data, off)
+        off += 18
+    else:
+        undo_next_lsn, off = _read(data, off, end)
+        page_id, off = _read(data, off, end)
+    op: Optional[UpdateOp]
+    if off < end and data[off] == _NONE:
+        op = None
+        off += 1
+    else:
+        op, off = _op_field(data, off, end)
+    if off + 9 <= end and data[off] == _INT:
+        slot = _unpack_i64(data, off + 1)[0]
+        off += 9
+    else:
+        slot, off = _read(data, off, end)
+    after, off = _image_field(data, off, end)
+    key, off = _image_field(data, off, end)
+    return undo_next_lsn, page_id, op, slot, after, key, off
 
 
 def _op_field(data: bytes, off: int, end: int) -> Tuple[UpdateOp, int]:

@@ -34,7 +34,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.log_records import FrameHeader, LogRecord
+from repro.core.log_records import FrameHeader, LogRecord, RedoEffect
 from repro.core.lsn import LSN, LogAddr, LsnClock, NULL_ADDR
 from repro.errors import RecoveryInvariantError
 from repro.probe import Probe
@@ -363,6 +363,9 @@ class ServerLogManager:
 
     def header_at(self, addr: LogAddr) -> FrameHeader:
         return self.stable.header_at(addr)
+
+    def redo_effect_at(self, addr: LogAddr, header: FrameHeader) -> RedoEffect:
+        return self.stable.redo_effect_at(addr, header)
 
     # -- truncation ---------------------------------------------------------------
 

@@ -22,6 +22,12 @@ i.e. as ``CodecError``.  On truncated and one-byte-substituted images
 whose CRC is recomputed, so that they reach the walk, the walk must
 build exactly the page the reference builds or raise ``CodecError``
 where it fails.
+
+``redo_effect`` applies a UPD or CLR from its frame, walking the body
+from where ``peek_header`` stopped.  On every UPD and CLR shape above,
+the strategies' and a few rarer ones, it must give the redo fields of
+``decode_record`` of the same frame, and raise ``CodecError`` on a
+truncated or over-long frame or a header peeked from another frame.
 """
 
 import zlib
@@ -46,6 +52,9 @@ from repro.core.log_records import (
     UpdateOp,
     UpdateRecord,
     _encode_frame,
+    decode_record,
+    peek_header,
+    redo_effect,
 )
 from repro.errors import PageCorruptedError
 from repro.storage.page import Page, PageKind
@@ -225,6 +234,79 @@ class TestFrameWriter:
             record = CommitRecord(lsn=1, client_id="C1", txn_id=txn_id,
                                   prev_lsn=0)
             assert _encode_frame(record) == reference_frame(record)
+
+
+# ---------------------------------------------------------------------------
+# The redo effect
+# ---------------------------------------------------------------------------
+
+#: UPD and CLR shapes beyond ``FRAME_SHAPES``: BIGINT LSNs throughout,
+#: non-ASCII ids, a space-map format and no images at all.
+REDO_SHAPES = [record for record in FRAME_SHAPES
+               if isinstance(record, (UpdateRecord, CompensationRecord))] + [
+    UpdateRecord(lsn=2 ** 64, client_id="客户", txn_id="客户.T1",
+                 prev_lsn=2 ** 63, page_id=2 ** 63,
+                 op=UpdateOp.SMP_ALLOCATE, slot=5, before=b"\x00",
+                 after=b"\x01"),
+    UpdateRecord(lsn=7, client_id="Ç1", txn_id=None, prev_lsn=0, page_id=0,
+                 op=UpdateOp.PAGE_FORMAT, after=b"\x00" * 16,
+                 redo_only=True, page_kind="space_map"),
+    UpdateRecord(lsn=8, client_id="C1", txn_id="C1.T1", prev_lsn=7,
+                 page_id=3, op=UpdateOp.META_SET, key=b"next"),
+    CompensationRecord(lsn=2 ** 63, client_id="C1", txn_id=None,
+                       prev_lsn=2 ** 65, undo_next_lsn=2 ** 64, page_id=3,
+                       op=UpdateOp.RECORD_DELETE, slot=2 ** 63),
+]
+
+
+def effect_view(frame):
+    """What redo applies from ``frame``, as the full decode reads it and
+    as ``redo_effect`` reads it from the peeked header."""
+    try:
+        record = decode_record(frame)
+        want = typed((record.op, record.slot, record.after, record.key,
+                      getattr(record, "page_kind", None)))
+    except codec.CodecError:
+        want = FAILED
+    return want, typed(outcome(
+        lambda f: redo_effect(f, peek_header(f)), frame))
+
+
+class TestRedoEffect:
+    @given(st.one_of(updates, clrs))
+    def test_equals_decode(self, record):
+        want, got = effect_view(_encode_frame(record))
+        assert got == want
+
+    @pytest.mark.parametrize("record", REDO_SHAPES,
+                             ids=lambda r: type(r).__name__)
+    def test_shapes_equal_decode(self, record):
+        frame = _encode_frame(record)
+        want, got = effect_view(frame)
+        assert got == want != FAILED
+        header = peek_header(frame)
+        for cut in range(len(frame)):
+            with pytest.raises(codec.CodecError):
+                redo_effect(frame[:cut], header)
+        with pytest.raises(codec.CodecError):
+            redo_effect(frame + b"N", header)
+
+    def test_header_of_another_frame_raises(self):
+        common = dict(client_id="C1", txn_id="C1.T7", prev_lsn=39)
+        upd = _encode_frame(UpdateRecord(
+            lsn=40, **common, page_id=12, op=UpdateOp.RECORD_MODIFY, slot=3,
+            before=b"old", after=b"new"))
+        later = _encode_frame(UpdateRecord(
+            lsn=41, **common, page_id=12, op=UpdateOp.RECORD_MODIFY, slot=3,
+            before=b"old", after=b"new"))
+        clr = _encode_frame(CompensationRecord(
+            lsn=40, **common, undo_next_lsn=38, page_id=12,
+            op=UpdateOp.RECORD_MODIFY, slot=3, after=b"old"))
+        commit = _encode_frame(CommitRecord(lsn=40, **common))
+        for frame, other in ((upd, clr), (clr, upd), (upd, later),
+                             (upd, commit), (commit, commit)):
+            with pytest.raises(codec.CodecError):
+                redo_effect(frame, peek_header(other))
 
 
 # ---------------------------------------------------------------------------
