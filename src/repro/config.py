@@ -214,13 +214,10 @@ class SystemConfig:
     #: FAULTY only: RNG seed for fault injection; ``None`` reuses ``seed``.
     transport_seed: "int | None" = None
 
-    #: Coalesce back-to-back RPCs on the same edge into one
-    #: :class:`repro.net.rpc.BatchEnvelope` exchange (today: the commit
-    #: path's log-ship + force pair).  Every sub-call keeps its own
-    #: request id, charge, span, and dedup entry, so traffic counters
-    #: are unchanged; only caller-side per-call overhead is amortized.
-    #: Off by default so crashpoint placement between the coalesced
-    #: calls and the default-config RPC ordering stay bit-identical.
+    #: Has no effect: the commit request carries the log tail itself,
+    #: so there is no log-ship + force pair left to batch.  Kept because
+    #: existing configurations, the benchmark's among them, still pass
+    #: it.
     rpc_batching: bool = False
     #: Keep the last N delivery attempts in a ring-buffer trace
     #: (rendered by ``tools.logdump.message_trace``; 0 disables).

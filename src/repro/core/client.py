@@ -69,7 +69,7 @@ from repro.locking.llm import LocalLockManager
 from repro.locking.lock_modes import LockMode
 from repro.net.messages import MsgType
 from repro.net.network import Network
-from repro.net.rpc import BatchCall, RpcDispatcher
+from repro.net.rpc import RpcDispatcher
 from repro.probe import Probe
 from repro.records.heap import RecordId, decode_value, encode_value
 from repro.storage.buffer_pool import BufferControlBlock, BufferPool
@@ -653,30 +653,7 @@ class Client:
             prev_lsn=txn.last_lsn,
         ))
         txn.last_lsn = commit_lsn
-        batch = self.log.unshipped()
-        if self.config.rpc_batching and probe.faults is None and batch:
-            # Coalesce the commit's ship + force pair into one batched
-            # exchange on the client->server edge.  Disabled whenever a
-            # fault plan is attached: the before_force crashpoint sits
-            # between the two calls, and batching would skip it.
-            shipped, forced = self.rpc.call_batch((
-                BatchCall("receive_log_records", MsgType.LOG_SHIP,
-                          payload=batch, args=(batch,)),
-                BatchCall("force_log_for_commit", MsgType.COMMIT_REQUEST,
-                          payload=txn.txn_id, args=(txn.txn_id,)),
-            ))
-            assigned, ship_flushed = shipped
-            self.log.note_shipped(assigned)
-            self.log.prune_stable(ship_flushed)
-            flushed = forced
-        else:
-            self._ship_log_records()
-            if probe.faults is not None:
-                probe.faults.crashpoint("client.commit.before_force")
-            flushed = self.rpc.call("force_log_for_commit",
-                                    MsgType.COMMIT_REQUEST,
-                                    payload=txn.txn_id, args=(txn.txn_id,))
-        self.log.prune_stable(flushed)
+        self._commit_request(txn, self.llm.globals_freed_by(txn.txn_id))
         if probe.faults is not None:
             probe.faults.crashpoint("client.commit.before_end")
         txn.state = TxnState.COMMITTED
@@ -711,13 +688,28 @@ class Client:
             prev_lsn=txn.last_lsn, locks=locks,
         ))
         txn.last_lsn = lsn
-        self._ship_log_records()
-        if self.probe.faults is not None:
-            self.probe.faults.crashpoint("client.prepare.before_force")
-        flushed = self.rpc.call("force_log_for_commit", MsgType.COMMIT_REQUEST,
-                                payload=txn.txn_id, args=(txn.txn_id,))
-        self.log.prune_stable(flushed)
+        # An in-doubt transaction keeps every lock: nothing is released.
+        self._commit_request(txn, [])
         txn.state = TxnState.PREPARED
+
+    def _commit_request(self, txn: Transaction, releases: List[Any]) -> None:
+        """One commit-request exchange: ship, force, release (section 2.1).
+
+        The request carries every unshipped record (the commit or
+        prepare record last) and the global locks the commit frees; the
+        server appends the records, forces the log through them and
+        only then releases the locks.  A retry after a lost response is
+        answered from the server's reply slot, so the records are
+        appended and the locks released exactly once.
+        """
+        batch = self.log.unshipped()
+        assigned, flushed = self.rpc.call(
+            "force_log_for_commit", MsgType.COMMIT_REQUEST,
+            payload=(txn.txn_id, batch, [str(r) for r in releases]),
+            args=(txn.txn_id, batch, releases))
+        self.log.note_shipped(assigned)
+        self.log.prune_stable(flushed)
+        self.llm.forget_globals(releases)
 
     def commit_prepared(self, txn: Transaction) -> None:
         """Second phase: commit an in-doubt transaction."""
@@ -871,10 +863,10 @@ class Client:
 
         The records travel to the server, which rewrites RecLSNs to
         RecAddrs before appending and remembers where this checkpoint
-        lives for failed-client recovery.
+        lives for failed-client recovery.  The same request carries the
+        unshipped log tail, appended ahead of the checkpoint records.
         """
         self._require_up()
-        self._ship_log_records()
         begin = BeginCheckpointRecord(
             lsn=self._assign_lsn(NULL_LSN), client_id=self.client_id,
             txn_id=None, prev_lsn=NULL_LSN, owner=self.client_id,
@@ -888,9 +880,11 @@ class Client:
         )
         if self.probe.faults is not None:
             self.probe.faults.crashpoint("client.checkpoint.before_send")
-        _, flushed = self.rpc.call("receive_client_checkpoint",
-                                   MsgType.CHECKPOINT,
-                                   payload=[begin, end], args=(begin, end))
+        batch = self.log.unshipped()
+        assigned, flushed = self.rpc.call(
+            "receive_client_checkpoint", MsgType.CHECKPOINT,
+            payload=(batch, begin, end), args=(begin, end, batch))
+        self.log.note_shipped(assigned)
         self.log.prune_stable(flushed)
 
     def report_dirty_pages(self) -> List[Tuple[int, LSN]]:

@@ -373,9 +373,13 @@ class Server:
         synchronous call doubles as the acknowledgement that lets the
         tracker raise the client's floor.
         """
-        # Any RPC from the client may have shrunk its local lock needs
-        # (commit, rollback, release); its memoized callback answers
-        # are stale from here on.
+        # A client's local lock needs shrink when one of its
+        # transactions ends, and every end reaches the server through a
+        # handler that counts an interaction: a commit through
+        # ``force_log_for_commit``, a total rollback through the
+        # ``receive_log_records`` ship of its End record, sent before
+        # its ``release_lock`` calls (which count none).  Its memoized
+        # callback answers are stale from here on.
         self._lock_needed_memo.pop(client_id, None)
         period = self.config.max_lsn_sync_period
         count = self._interactions.get(client_id, 0) + 1
@@ -663,16 +667,16 @@ class Server:
     # Log service
     # ------------------------------------------------------------------
 
-    def receive_log_records(self, client_id: str,
-                            records: List[LogRecord]) -> Tuple[List[Tuple[LSN, LogAddr]], LogAddr]:
-        """Append a shipped batch; returns (assigned pairs, flushed addr).
+    def _intake(self, client_id: str,
+                records: List[LogRecord]) -> List[Tuple[LSN, LogAddr]]:
+        """Append a client's shipped records; returns the assigned pairs.
 
-        Every record is analyzed for the global transaction tracker
-        (section 2.4) — this is how the server can later serve rollback
-        fetches and compute Commit_LSN.
+        The one log intake behind every handler that carries records
+        (log ship, commit request, client checkpoint).  Every record is
+        analyzed for the global transaction tracker (section 2.4) —
+        this is how the server can later serve rollback fetches and
+        compute Commit_LSN.
         """
-        self._require_up()
-        self._interaction(client_id)
         if self.probe.faults is not None:
             self.probe.faults.crashpoint("server.log_ship.before_append")
         assigned = self.log.append_from_client(client_id, records)
@@ -682,17 +686,38 @@ class Server:
         self._maybe_auto_checkpoint()
         if self.replication is not None:
             self.replication.on_log_appended()
-        return assigned, self.log.flushed_addr
+        return assigned
 
-    def force_log_for_commit(self, client_id: str, txn_id: str) -> LogAddr:
-        """Commit force: everything up to the commit record goes stable.
+    def receive_log_records(self, client_id: str,
+                            records: List[LogRecord]) -> Tuple[List[Tuple[LSN, LogAddr]], LogAddr]:
+        """Append a shipped batch; returns (assigned pairs, flushed addr)."""
+        self._require_up()
+        self._interaction(client_id)
+        return self._intake(client_id, records), self.log.flushed_addr
+
+    def force_log_for_commit(
+        self, client_id: str, txn_id: str, records: List[LogRecord],
+        releases: List[Any],
+    ) -> Tuple[List[Tuple[LSN, LogAddr]], LogAddr]:
+        """The commit request: append, force, then release (section 2.1).
+
+        ``records`` is the client's unshipped tail, its commit (or
+        prepare) record last; ``releases`` names the global locks the
+        commit frees (empty with lock caching on, and for a prepare).
+        Returns (assigned pairs, flushed addr).
 
         Eligible for group-commit deferral: with an open window the
         returned flushed boundary may not cover the commit record yet,
         and the client keeps its records buffered until it does
-        (section 2.1) — which is what makes deferral crash-safe.
+        (section 2.1) — which is what makes deferral crash-safe.  The
+        locks are released after the commit force, so strict two-phase
+        locking holds them through the commit point (through a deferred
+        force too, once it is scheduled, as the client's own releases
+        did before they rode this request).
         """
         self._require_up()
+        self._interaction(client_id)
+        assigned = self._intake(client_id, records)
         if self.probe.faults is not None:
             self.probe.faults.crashpoint("server.commit.before_force")
         flushed = self.log.commit_force()
@@ -703,7 +728,9 @@ class Server:
             # standby too, which is what the failover durability oracle
             # relies on (no acked commit lost by a promotion).
             self.replication.on_commit_force(flushed)
-        return flushed
+        for resource in releases:
+            self.glm.release(client_id, resource)
+        return assigned, flushed
 
     def log_cdpl(self, client_id: str, txn_id: str,
                  pages: List[Tuple[int, LSN]]) -> None:
@@ -950,11 +977,17 @@ class Server:
         self, client_id: str,
         begin: BeginCheckpointRecord,
         end: EndCheckpointRecord,
+        records: List[LogRecord],
     ) -> Tuple[List[Tuple[LSN, LogAddr]], LogAddr]:
         """Append a client's checkpoint, rewriting RecLSNs to RecAddrs
-        (section 2.6.1), and remember it in the master record."""
+        (section 2.6.1), and remember it in the master record.
+
+        ``records`` is the client's unshipped tail, appended first;
+        returns its assigned pairs and the flushed address.
+        """
         self._require_up()
         self._interaction(client_id)
+        assigned = self._intake(client_id, records) if records else []
         begin_addr = self.log.append_from_client(client_id, [begin])[0][1]
         # Every floor is read here, before the loop below updates any.
         map_rec_lsn = self._map_rec_lsn
@@ -980,7 +1013,7 @@ class Server:
             probe.faults.crashpoint("server.client_checkpoint.before_master")
         self._master["client_ckpts"][client_id] = begin_addr
         self._appends_since_ckpt += 2
-        return [(begin.lsn, begin_addr), end_pair], self.log.flushed_addr
+        return assigned, self.log.flushed_addr
 
     def take_checkpoint(self) -> LogAddr:
         """The coordinated server checkpoint of section 2.7.

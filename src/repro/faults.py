@@ -79,9 +79,7 @@ CRASHPOINTS: Tuple[str, ...] = (
     "server.backup.before_archive",
     # client.py — commit / prepare / rollback (sections 2.1, 2.4)
     "client.commit.before_commit_record",
-    "client.commit.before_force",
     "client.commit.before_end",
-    "client.prepare.before_force",
     "client.rollback.before_clr",
     "client.checkpoint.before_send",
     "client.evict.before_push",

@@ -30,7 +30,21 @@ class DurabilityViolation:
                 f"found {self.actual!r}")
 
 
-_MISSING = object()
+class _Missing:
+    """The "no such record" sentinel.
+
+    Its ``repr`` is fixed (a bare ``object()`` prints its memory
+    address), so a violation naming a missing record reads — and
+    digests — the same in every process.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "<missing>"
+
+
+_MISSING = _Missing()
 
 
 class CommittedStateOracle:

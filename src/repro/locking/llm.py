@@ -17,7 +17,7 @@ measured by the harness:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.locking.lock_modes import LockMode, covers, supremum
 from repro.locking.lock_table import LockTable, Resource
@@ -100,6 +100,30 @@ class LocalLockManager:
             if not self.local.holders(resource):
                 self._glm_release(resource)
                 del self._global_held[resource]
+
+    def globals_freed_by(self, txn_id: str) -> List[Resource]:
+        """The global locks ``txn_id``'s termination gives back.
+
+        Empty with lock caching on (the LLM keeps them).  Without it,
+        every global lock no *other* local transaction holds — exactly
+        what :meth:`release_transaction` would release — named ahead so
+        the commit request can carry them: the server releases them
+        after the force, and :meth:`forget_globals` then drops them
+        here before the local release.
+        """
+        if self.cache_locks:
+            return []
+        freed = []
+        for resource in self._global_held:
+            entry = self.local.entry(resource)
+            if entry is None or entry.holders.keys() <= {txn_id}:
+                freed.append(resource)
+        return freed
+
+    def forget_globals(self, resources: List[Resource]) -> None:
+        """Drop global locks the server already released for us."""
+        for resource in resources:
+            del self._global_held[resource]
 
     # -- server callbacks ---------------------------------------------------------
 

@@ -18,8 +18,9 @@ The pieces:
 * :class:`RpcDispatcher` — a per-node dispatch table mapping method
   names to handlers, with request-id deduplication so a retried request
   is executed **exactly once** even when only the response was lost.
-  Non-idempotent handlers (``receive_log_records``,
-  ``force_log_for_commit``, the 2PC branch votes) depend on this.
+  Non-idempotent handlers (``receive_log_records``, the commit request
+  ``force_log_for_commit`` that appends records and releases locks,
+  ``receive_client_checkpoint``, the 2PC branch votes) depend on this.
 * :class:`Transport` policies — :class:`ReliableTransport` delivers
   every message synchronously (today's deterministic behavior,
   bit-for-bit identical traffic counters); :class:`FaultyTransport`
@@ -30,14 +31,24 @@ The pieces:
   exhausted (the destination is indistinguishable from a dead node).
 
 Accounting model: the *request* leg of an exchange is charged by
-:meth:`Network.call`; response legs that carry real payloads (page
-ships, fetched log records, gathered DPLs) are charged by the handler
-itself via :meth:`Network.send`, exactly where the pre-RPC code charged
-them — so the default transport reproduces the old counters exactly.
+:meth:`Network.call` — one message of ``MESSAGE_OVERHEAD`` plus the
+payload's size; response legs that carry real payloads (page ships,
+fetched log records, gathered DPLs) are charged by the handler itself
+via :meth:`Network.send`.  A message is one exchange, so what travels
+together is charged together: a commit is one ``COMMIT_REQUEST`` whose
+payload is the transaction id, the client's unshipped log records and
+the names of the global locks the commit frees (the log tail and the
+releases cost no message of their own), and a client checkpoint is one
+``CHECKPOINT`` carrying the log tail ahead of its two records.
 Envelopes with ``charge=False`` model interactions that piggyback on an
 already-counted exchange (Max_LSN sync, the CDPL ride-along, catalog
 lookups): they travel through dispatch — and through fault injection —
 but add no messages or bytes.
+
+:class:`BatchEnvelope` and :meth:`RpcStub.call_batch` coalesce calls
+on one edge without merging their accounting (every sub-call is still
+its own message).  Nothing in the package batches any more: the commit
+path they were built for is a single request now.
 
 What stays *outside* the RPC layer, deliberately: object wiring at
 session establishment (``Server.connect_client``) and the restart-time

@@ -148,8 +148,8 @@ def build_system(spec: DriverSpec,
                  ) -> Tuple[ClientServerSystem, List]:
     """Provision the complex and the seeded record space for a run.
 
-    The default config makes three population-scale choices (pass an
-    explicit ``config`` to override any of them):
+    The default config makes two population-scale choices (pass an
+    explicit ``config`` to override either of them):
 
     * periodic checkpoints off — a coordinated checkpoint gathers a
       dirty-page list from every connected client, an O(population)
@@ -157,15 +157,13 @@ def build_system(spec: DriverSpec,
     * lock caching off — cached global locks are a locality
       optimization, and under hot-key skew every conflicting acquire
       triggers a reduce-callback to each cached holder (an O(holders)
-      RPC storm per hot-record lock);
-    * commit RPC batching on — the driver runs fault-free, so the
-      commit path's ship + force pair coalesces.
+      RPC storm per hot-record lock).  The commit request then carries
+      the locks a commit frees, so releasing them costs no message.
     """
     if config is None:
         config = SystemConfig(client_checkpoint_interval=0,
                               server_checkpoint_interval=0,
-                              llm_cache_locks=False,
-                              rpc_batching=True)
+                              llm_cache_locks=False)
     ids = client_ids_for(spec.clients)
     system = ClientServerSystem(config, client_ids=ids[:1])
     system.bootstrap(data_pages=spec.table_pages,

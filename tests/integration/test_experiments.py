@@ -148,3 +148,25 @@ class TestExperimentShapes:
         assert "page-ship" in flows
         assert "log-ship" in flows
         assert "commit-request" in flows
+
+
+class TestMessageTablesAtDefaultSize:
+    """The two section 4 message tables, at the sizes EXPERIMENTS.md
+    and ``python -m repro.harness.run_all`` report."""
+
+    def test_e1_csa_below_objectstore_below_esm(self):
+        rows = X.run_e1_commit_traffic()
+        for size in (1, 4, 16):
+            csa = by(rows, system="ARIES/CSA", write_set=size)[0]
+            ostore = by(rows, system="ObjectStore-style", write_set=size)[0]
+            esm = by(rows, system="ESM-CS", write_set=size)[0]
+            assert csa["messages_per_commit"] < \
+                ostore["messages_per_commit"] < esm["messages_per_commit"]
+
+    def test_e12_caching_below_no_caching(self):
+        rows = X.run_e12_lock_caching()
+        uncached = [r for r in rows if "no caching" in r["variant"]][0]
+        cached = [r for r in rows if "LLM" in r["variant"]][0]
+        assert cached["messages"] < uncached["messages"]
+        assert cached["lock_requests_to_server"] < \
+            uncached["lock_requests_to_server"]

@@ -116,8 +116,8 @@ class TestDriverExecution:
         assert DriverReport().p95_latency_ticks() == 0
 
     def test_batching_config_changes_no_outcomes(self):
-        """rpc_batching coalesces the commit ship+force pair; outcomes
-        and committed values must be unchanged."""
+        """rpc_batching has no effect any more (the commit request is a
+        single message either way); outcomes must be unchanged."""
         unbatched = run_driver(
             SMALL, config=SystemConfig(client_checkpoint_interval=0,
                                        server_checkpoint_interval=0,

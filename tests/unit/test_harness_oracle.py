@@ -65,6 +65,23 @@ class TestOracleBookkeeping:
         oracle.note_committed_delete(rids[0])
         assert oracle.verify(system, where="current") == []
 
+    def test_missing_record_prints_the_same_in_every_process(
+            self, small_system):
+        # A violation naming a missing record must not print a memory
+        # address: chaos reports digest these strings across processes.
+        system, rids = small_system
+        oracle = CommittedStateOracle()
+        oracle.note_committed_delete(rids[1])       # expected: missing
+        oracle.note_committed_update(RecordId(rids[0].page_id, 9), "x")
+        texts = [str(v) for v in oracle.verify(system, where="current")]
+        assert texts == [
+            "lost or wrong committed value at 1.1: expected <missing>, "
+            "found ('init', 1)",
+            "lost or wrong committed value at 1.9: expected 'x', "
+            "found <missing>",
+        ]
+        assert not any("0x" in text for text in texts)
+
     def test_verify_durability_raises_with_details(self, small_system):
         system, rids = small_system
         oracle = CommittedStateOracle()
